@@ -62,6 +62,9 @@ struct Measurement {
     name: &'static str,
     sim_cycles: u64,
     events: u64,
+    /// Events the host dispatched: `events` minus the spin iterations
+    /// that parking skipped. Printed, not written to the JSON report.
+    dispatched: u64,
     wall_ms: f64,
 }
 
@@ -105,6 +108,7 @@ fn measure_with_workers(
         name,
         sim_cycles: report.cycles.as_u64(),
         events: report.events,
+        dispatched: machine.events_dispatched(),
         wall_ms,
     }
 }
@@ -338,33 +342,25 @@ fn main() {
         .map(|(_, build)| best_of(repeat, || build(1)))
         .collect();
 
-    for m in &workloads {
+    let total = Measurement {
+        name: "total",
+        sim_cycles: workloads.iter().map(|m| m.sim_cycles).sum(),
+        events: workloads.iter().map(|m| m.events).sum(),
+        dispatched: workloads.iter().map(|m| m.dispatched).sum(),
+        wall_ms: workloads.iter().map(|m| m.wall_ms).sum(),
+    };
+    for m in workloads.iter().chain([&total]) {
         eprintln!(
-            "  {:<18} {:>12} cycles  {:>10} events  {:>9.1} ms  {:>12.0} cyc/s  {:>11.0} ev/s",
+            "  {:<18} {:>12} cycles  {:>10} events  {:>10} dispatched  {:>9.1} ms  {:>12.0} cyc/s  {:>11.0} ev/s",
             m.name,
             m.sim_cycles,
             m.events,
+            m.dispatched,
             m.wall_ms,
             m.cycles_per_sec(),
             m.events_per_sec()
         );
     }
-
-    let total = Measurement {
-        name: "total",
-        sim_cycles: workloads.iter().map(|m| m.sim_cycles).sum(),
-        events: workloads.iter().map(|m| m.events).sum(),
-        wall_ms: workloads.iter().map(|m| m.wall_ms).sum(),
-    };
-    eprintln!(
-        "  {:<18} {:>12} cycles  {:>10} events  {:>9.1} ms  {:>12.0} cyc/s  {:>11.0} ev/s",
-        total.name,
-        total.sim_cycles,
-        total.events,
-        total.wall_ms,
-        total.cycles_per_sec(),
-        total.events_per_sec()
-    );
 
     // PDES scaling row: every basket workload re-measured at each
     // requested worker count. The 1-worker basket runs above are the

@@ -44,7 +44,7 @@ use crate::experiments::runner::{
 use crate::experiments::{BarSpec, CounterKind, Scale};
 use dsm_protocol::{CasVariant, LlscScheme, SyncPolicy};
 use dsm_sim::snapshot::{self, ByteReader, ByteWriter, PayloadKind, SnapshotError};
-use dsm_sim::{FaultConfig, MachineConfig, ProtoVariant, StableHasher};
+use dsm_sim::{FaultConfig, MachineConfig, ProtoSpec, ProtoVariant, StableHasher};
 use dsm_stats::{Histogram, LatencyHist};
 use dsm_sync::{LinkPrim, Primitive};
 use dsm_workloads::LfStructure;
@@ -89,14 +89,31 @@ pub fn dir() -> Option<PathBuf> {
 }
 
 /// Fingerprint of the ambient environment that changes machine
-/// behaviour without entering the job key: `DSM_FAULTS` (applied at
-/// machine build time) and `DSM_PARANOID`.
+/// behaviour without entering the job key: `DSM_FAULTS` and
+/// `DSM_PROTO` (both applied at machine build time) and `DSM_PARANOID`.
+/// `DSM_PROTO` enters in canonical form, so spellings of one protocol
+/// share entries and the default protocol leaves the fingerprint as it
+/// was before the variable existed.
 fn env_fingerprint() -> u32 {
     let mut h = StableHasher::new();
     h.write_str(&std::env::var("DSM_FAULTS").unwrap_or_default());
     h.write_u8(u8::from(
         std::env::var("DSM_PARANOID").is_ok_and(|v| v == "1"),
     ));
+    if let Ok(raw) = std::env::var("DSM_PROTO") {
+        match ProtoSpec::from_spec(&raw) {
+            Ok(spec) if spec == ProtoSpec::default() => {}
+            Ok(spec) => {
+                h.write_str(spec.variant.label());
+                h.write_u8(u8::from(spec.home_atomics));
+                for v in [spec.clusters.map(u64::from), spec.penalty, spec.line_size] {
+                    h.write_u64(v.map_or(0, |v| v + 1));
+                }
+            }
+            // Machine builds reject it; keep it apart all the same.
+            Err(_) => h.write_str(&raw),
+        }
+    }
     (h.finish() & 0xFFFF_FFFF) as u32
 }
 

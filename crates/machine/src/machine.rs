@@ -411,6 +411,42 @@ struct ProcState {
     /// The trace span of the outstanding operation (0 = none).
     /// Diagnostic-only; excluded from [`Machine::state_digest`].
     span: u64,
+    /// The [`Action::SpinWhile`] loop the processor is running, if any.
+    spin: Option<Spin>,
+    /// Set while the processor's spin is parked (see [`Park`]).
+    park: Option<Park>,
+}
+
+/// An [`Action::SpinWhile`] in progress. The engine runs the loop: a
+/// `ProcStep` with no `last` result issues the load, and one with a
+/// result either pauses for another iteration or ends the spin.
+#[derive(Debug, Clone, Copy)]
+struct Spin {
+    addr: Addr,
+    value: Value,
+    pause: u64,
+}
+
+/// A parked spinner: its load hit in the cache and returned the spin
+/// value, so until a message reaches its cache controller every further
+/// iteration would hit and return the same value. Instead of queueing
+/// them, the engine keeps this record and, on wake, applies the effects
+/// of the iterations that fired in between (see [`Core::advance_park`]).
+///
+/// The elided events are numbered from 0: event `e` belongs to
+/// iteration `e / 3` and is its `OpDone` (`e % 3 == 0`), its check
+/// `ProcStep` (1) or its load-issuing `ProcStep` (2).
+#[derive(Debug, Clone, Copy)]
+struct Park {
+    /// Issue time of the load whose `OpDone` is elided event 0.
+    t0: Cycle,
+    /// Elided events applied so far; event `fired` is the pending one.
+    fired: u64,
+    /// Local sequence number of the pending event's key (see
+    /// [`key_local`]) in the literal run.
+    seq: u64,
+    /// The outcome every parked load returns.
+    outcome: OpOutcome,
 }
 
 // ---------------------------------------------------------------------
@@ -476,6 +512,14 @@ pub(crate) struct Core {
     /// [`Event::OpDone`] payloads.
     #[allow(clippy::vec_box)]
     outcome_pool: Vec<Box<OpOutcome>>,
+    /// The longest spin pause that may park during this run, or `None`
+    /// when this run does not park (set by [`Machine::run_until`]).
+    park_bound: Option<u64>,
+    /// Processors currently parked.
+    parked: usize,
+    /// Events counted in `events_processed` that parking applied
+    /// without dispatching them.
+    pub(crate) elided: u64,
 }
 
 /// Partitions `nodes` into `workers` contiguous shard ranges
@@ -688,6 +732,11 @@ impl Core {
     /// server (memory module or cache controller).
     fn deliver(&mut self, msg: Box<Msg>, io: &mut impl ShardIo) {
         let node = self.li(msg.dst.as_u32());
+        // The `Process` pushed below takes the node's next local key;
+        // a parked spinner's earlier iterations took theirs first.
+        if self.procs[node].park.is_some() {
+            self.advance_park(node, self.now);
+        }
         let (busy, service) = if msg.kind.home_bound() {
             (
                 &mut self.mem_busy[node],
@@ -723,6 +772,26 @@ impl Core {
         if state.done || state.blocked || state.waiting_barrier.is_some() {
             return Ok(Effect::None);
         }
+        if let Some(spin) = state.spin {
+            // The spin loop's own steps: issue the load, or look at its
+            // result and either pause for another iteration or hand the
+            // result to the program.
+            match state.last.take() {
+                None => {
+                    self.issue_op(p, MemOp::Load { addr: spin.addr }, io)?;
+                    return Ok(Effect::None);
+                }
+                Some(r) if r.value() == Some(spin.value) => {
+                    state.last_chain = None;
+                    self.push_local(self.now + spin.pause, p.as_u32(), Event::ProcStep(p));
+                    return Ok(Effect::None);
+                }
+                Some(r) => {
+                    state.spin = None;
+                    state.last = Some(r);
+                }
+            }
+        }
         let action = {
             let mut ctx = ProcCtx {
                 proc: p,
@@ -736,6 +805,11 @@ impl Core {
         match action {
             Action::Compute(cycles) => {
                 self.push_local(self.now + cycles, p.as_u32(), Event::ProcStep(p));
+                Ok(Effect::None)
+            }
+            Action::SpinWhile { addr, value, pause } => {
+                self.procs[i].spin = Some(Spin { addr, value, pause });
+                self.push_local(self.now + pause, p.as_u32(), Event::ProcStep(p));
                 Ok(Effect::None)
             }
             Action::Barrier(id) => {
@@ -794,18 +868,154 @@ impl Core {
         if let Some(tracer) = io.tracer() {
             tracer.set_span_ctx(0);
         }
-        match completed {
-            Some(outcome) => {
+        self.procs[i].blocked = true;
+        if let Some(outcome) = completed {
+            if !is_sync && self.may_park(i, &outcome) {
+                self.park(i, outcome);
+            } else {
                 let latency = self.cfg.params.cache_hit;
                 let boxed = self.box_outcome(outcome);
                 self.push_local(self.now + latency, p.as_u32(), Event::OpDone(p, boxed));
-                self.procs[i].blocked = true;
-            }
-            None => {
-                self.procs[i].blocked = true;
             }
         }
         Ok(())
+    }
+
+    /// `true` if processor `i`'s just-completed local load is a spin
+    /// iteration that would go on spinning, and this run parks spins
+    /// with its pause (see [`Park`]).
+    fn may_park(&self, i: usize, outcome: &OpOutcome) -> bool {
+        match (self.park_bound, self.procs[i].spin) {
+            (Some(bound), Some(spin)) => {
+                spin.pause <= bound && outcome.local && outcome.result.value() == Some(spin.value)
+            }
+            _ => false,
+        }
+    }
+
+    /// Parks processor `i` instead of queueing the `OpDone` of its
+    /// load, which issued now and hit. The `OpDone` keeps the key the
+    /// literal run would give it.
+    fn park(&mut self, i: usize, outcome: OpOutcome) {
+        let seq = self.local_seq[i];
+        self.local_seq[i] += 1;
+        self.procs[i].park = Some(Park {
+            t0: self.now,
+            fired: 0,
+            seq,
+            outcome,
+        });
+        self.parked += 1;
+    }
+
+    /// The cycle of a parked processor's elided event `e` (see [`Park`]).
+    fn elided_time(&self, park: &Park, spin: &Spin, e: u64) -> Cycle {
+        let (hit, issue) = (self.cfg.params.cache_hit, self.cfg.params.issue);
+        let period = hit + issue + spin.pause;
+        let offset = [hit, hit + issue, period][(e % 3) as usize];
+        park.t0 + (e / 3) * period + offset
+    }
+
+    /// Applies the effects of every elided event of parked processor `i`
+    /// that fires before `upto`, exactly as dispatching them would have:
+    /// the event count, the node's local key sequence, the loads' cache
+    /// touches and operation statistics, the retirement time and the
+    /// processor's own state.
+    ///
+    /// Exactness rests on the spinner's events being the last of their
+    /// node in their cycle (see [`Machine::park_bound`]): anything else
+    /// that happens at the node at cycle `t` happens after every elided
+    /// event before `t` and before any at `t`.
+    fn advance_park(&mut self, i: usize, upto: Cycle) {
+        let (Some(mut park), Some(spin)) = (self.procs[i].park, self.procs[i].spin) else {
+            return;
+        };
+        let (hit, issue) = (self.cfg.params.cache_hit, self.cfg.params.issue);
+        let period = hit + issue + spin.pause;
+        let span = upto.as_u64().saturating_sub(park.t0.as_u64());
+        let total: u64 = [hit, hit + issue, period]
+            .iter()
+            .map(|&off| span.saturating_sub(off).div_ceil(period))
+            .sum();
+        let new = total - park.fired;
+        if new == 0 {
+            return;
+        }
+        // Elided events in [fired, total) of each kind (`e % 3 == r`).
+        let kind = |r: u64| (total + 2 - r) / 3 - (park.fired + 2 - r) / 3;
+        let (done, issued) = (kind(0), kind(2));
+        // Each elided event pushed its successor; the last push is the
+        // pending event.
+        park.seq = self.local_seq[i] + new - 1;
+        self.local_seq[i] += new;
+        park.fired = total;
+        self.events_processed += new;
+        self.elided += new;
+        if done > 0 {
+            let ns = &mut self.nstats[i];
+            ns.ops += done;
+            ns.local_ops += done;
+            ns.op_latency.add_n(hit as f64, done);
+            ns.op_latency_hist.record_n(hit, done);
+            let last_done = self.elided_time(&park, &spin, (total - 1) / 3 * 3);
+            self.last_retire = self.last_retire.max(last_done);
+        }
+        if issued > 0 {
+            let line = spin.addr.line(self.cfg.params.line_size);
+            let hit_line = self.caches[i].touch_hits(line, issued);
+            debug_assert!(hit_line, "a parked spin line stays resident");
+        }
+        let s = &mut self.procs[i];
+        (s.current, s.blocked, s.last, s.last_chain) = match total % 3 {
+            // Last applied: a load issue. Its `OpDone` is pending.
+            0 => {
+                let issued_at = park.t0 + total / 3 * period;
+                let op = MemOp::Load { addr: spin.addr };
+                (Some((op, issued_at, false)), true, None, None)
+            }
+            // Last applied: an `OpDone`. The check step is pending.
+            1 => (
+                None,
+                false,
+                Some(park.outcome.result),
+                Some(park.outcome.chain),
+            ),
+            // Last applied: a check. The next load issue is pending.
+            _ => (None, false, None, None),
+        };
+        s.park = Some(park);
+    }
+
+    /// Wakes parked processor `i` at `at`: applies its elided events
+    /// before `at` and queues its pending event under the literal key.
+    /// From there it runs literally until it parks again. Returns the
+    /// cycle of the last elided event, if any fired.
+    fn unpark(&mut self, i: usize, at: Cycle) -> Option<Cycle> {
+        self.advance_park(i, at);
+        let (Some(park), Some(spin)) = (self.procs[i].park.take(), self.procs[i].spin) else {
+            return None;
+        };
+        self.parked -= 1;
+        let node = self.lo + i as u32;
+        let p = ProcId::new(node);
+        let due = self.elided_time(&park, &spin, park.fired);
+        let event = if park.fired % 3 == 0 {
+            Event::OpDone(p, self.box_outcome(park.outcome))
+        } else {
+            Event::ProcStep(p)
+        };
+        self.events
+            .push_keyed(due, key_local(node, park.seq), event);
+        (park.fired > 0).then(|| self.elided_time(&park, &spin, park.fired - 1))
+    }
+
+    /// Wakes every parked processor at `at`; returns the latest cycle
+    /// at which one of their elided events fired (`Cycle::ZERO` if none).
+    pub(crate) fn unpark_all(&mut self, at: Cycle) -> Cycle {
+        (0..self.procs.len())
+            .filter_map(|i| self.unpark(i, at))
+            .max()
+            .unwrap_or(Cycle::ZERO)
     }
 
     fn op_done(
@@ -965,6 +1175,11 @@ impl Core {
             }
             self.route(&mut out, io);
         } else {
+            // A message for this cache may change what a parked spin
+            // reads: wake the spinner before handling it.
+            if self.procs[node].park.is_some() {
+                self.unpark(node, self.now);
+            }
             let proc = ProcId::new(msg.dst.as_u32());
             let before = want_state.then(|| cache_label(self.caches[node].cache_state(line)));
             let completed =
@@ -1004,6 +1219,30 @@ impl Core {
             }
         }
         Ok(())
+    }
+
+    /// Ends a run that reached `limit`, or ran out of queued events,
+    /// with processors parked. Their spins keep the literal queue busy
+    /// up to the limit, so the literal run ends with
+    /// [`RunError::CycleLimit`] after dispatching them and popping the
+    /// earliest event beyond the limit. Reproduce exactly that: put the
+    /// popped event back, wake every spinner at the limit, drop the
+    /// earliest event.
+    pub(crate) fn parked_limit(
+        &mut self,
+        limit: Cycle,
+        popped: Option<(Cycle, u128, Event)>,
+    ) -> RunError {
+        if let Some((at, key, event)) = popped {
+            self.events.push_keyed(at, key, event);
+        }
+        let latest = self.unpark_all(Cycle::new(limit.as_u64().saturating_add(1)));
+        self.now = self.now.max(latest);
+        self.events.pop_keyed();
+        RunError::CycleLimit {
+            limit,
+            active: self.active,
+        }
     }
 
     /// Serial-path barrier scan: releases the barrier if every
@@ -1145,6 +1384,9 @@ impl Core {
                 } else {
                     Vec::new()
                 },
+                park_bound: None,
+                parked: 0,
+                elided: 0,
             });
         }
         self.active = 0;
@@ -1447,6 +1689,8 @@ impl MachineBuilder {
                 last_chain: None,
                 current: None,
                 span: 0,
+                spin: None,
+                park: None,
             })
             .collect();
         let injector = faults
@@ -1500,6 +1744,9 @@ impl MachineBuilder {
             outbox: Outbox::new(),
             msg_pool: Vec::new(),
             outcome_pool: Vec::new(),
+            park_bound: None,
+            parked: 0,
+            elided: 0,
             cfg: self.cfg,
         };
         let mut machine = Machine {
@@ -1607,21 +1854,41 @@ impl Machine {
         self.workers = workers.max(1);
     }
 
-    /// The worker count a run would actually use under `stop`:
-    /// serial-only instrumentation and stop rules override the setting.
-    fn effective_workers(&self, stop: StopRule) -> usize {
-        if self.workers <= 1
-            || self.tracer.is_some()
+    /// `true` when a run under `stop` needs the literal serial engine:
+    /// serial-only instrumentation (tracer, fault injector, paranoid
+    /// checking, watchdog, debug ring) or a stop rule is active.
+    fn instrumented(&self, stop: StopRule) -> bool {
+        self.tracer.is_some()
             || self.injector.is_some()
             || self.paranoid
             || self.watchdog > 0
             || self.trace.is_some()
             || !matches!(stop, StopRule::None)
-            || self.core.active == 0
-        {
+    }
+
+    /// The worker count a run would actually use under `stop`:
+    /// serial-only instrumentation and stop rules override the setting.
+    fn effective_workers(&self, stop: StopRule) -> usize {
+        if self.workers <= 1 || self.instrumented(stop) || self.core.active == 0 {
             return 1;
         }
         self.workers.min(self.core.cfg.nodes as usize)
+    }
+
+    /// The longest spin pause a run may park, or `None` when the run
+    /// must dispatch every spin iteration. Only the plain serial engine
+    /// parks, and only when spinner events are provably the last of
+    /// their node in their cycle: every spinner event fires `d` cycles
+    /// after it is queued (`d` one of the pause, `cache_hit`, `issue`),
+    /// every server finishes a message at least `bound` cycles after it
+    /// arrives, and with `flit_cycle >= 1` no message arrives in the
+    /// cycle it is sent. So `d <= bound` leaves no later message
+    /// processing in a spinner event's cycle.
+    fn park_bound(&self, stop: StopRule, workers: usize) -> Option<u64> {
+        let p = &self.core.cfg.params;
+        let bound = p.cache_ctrl.min(p.dir_access + p.mem_access);
+        let exact = p.flit_cycle >= 1 && p.cache_hit <= bound && p.issue <= bound;
+        (exact && workers == 1 && !self.instrumented(stop)).then_some(bound)
     }
 
     /// Writes a word directly into its home memory (initialization /
@@ -1681,12 +1948,16 @@ impl Machine {
     /// elapses before the run finishes or pauses.
     pub fn run_until(&mut self, limit: Cycle, stop: StopRule) -> Result<RunOutcome, RunError> {
         let workers = self.effective_workers(stop);
+        self.core.park_bound = self.park_bound(stop, workers);
         let result = if workers > 1 {
             crate::pdes::run_parallel(&mut self.core, limit, workers, self.wall_limit)
                 .map(RunOutcome::Done)
         } else {
             self.run_inner(limit, stop)
         };
+        // A failed run may leave spinners parked; put the machine back
+        // in the literal state.
+        self.core.unpark_all(self.core.now);
         // Traces are most valuable when a run fails (deadlock, protocol
         // error), so flush on the error path too. A trace I/O failure
         // must not masquerade as a simulation failure; report and move
@@ -1708,14 +1979,15 @@ impl Machine {
         }
     }
 
-    /// Checks the wall-clock budget (every `WALL_CHECK_MASK + 1` events,
-    /// so the `Instant::now` syscall stays off the hot path).
+    /// Checks the wall-clock budget (every `WALL_CHECK_MASK + 1`
+    /// dispatched events, so the `Instant::now` syscall stays off the
+    /// hot path).
     fn check_wall(&self, started: Instant) -> Result<(), RunError> {
         const WALL_CHECK_MASK: u64 = 8191;
         let Some(budget) = self.wall_limit else {
             return Ok(());
         };
-        if self.core.events_processed & WALL_CHECK_MASK != 0 {
+        if self.events_dispatched() & WALL_CHECK_MASK != 0 {
             return Ok(());
         }
         let elapsed = started.elapsed();
@@ -1749,6 +2021,9 @@ impl Machine {
         self.paused = false;
         while self.core.active > 0 {
             let Some((at, key, event)) = self.core.events.pop_keyed() else {
+                if self.core.parked > 0 {
+                    return Err(self.core.parked_limit(limit, None));
+                }
                 return Err(RunError::Deadlock {
                     at: self.core.now,
                     active: self.core.active,
@@ -1757,6 +2032,9 @@ impl Machine {
             };
             debug_assert!(at >= self.core.now, "time ran backwards");
             if at > limit {
+                if self.core.parked > 0 {
+                    return Err(self.core.parked_limit(limit, Some((at, key, event))));
+                }
                 return Err(RunError::CycleLimit {
                     limit,
                     active: self.core.active,
@@ -1981,10 +2259,22 @@ impl Machine {
         }
     }
 
-    /// Total events dispatched since construction — the replay
-    /// coordinate used by checkpoints (see [`StopRule::AfterEvents`]).
+    /// Total events the simulated machine processed since construction
+    /// — the model count reported in [`RunReport::events`] and the
+    /// replay coordinate used by checkpoints (see
+    /// [`StopRule::AfterEvents`]). It includes spin iterations that a
+    /// parked processor skipped.
     pub fn events_processed(&self) -> u64 {
         self.core.events_processed
+    }
+
+    /// Events the host actually dispatched since construction: the
+    /// model count minus the spin iterations parking skipped. This is
+    /// the simulator's own work; it equals
+    /// [`events_processed`](Self::events_processed) on every path that
+    /// does not park.
+    pub fn events_dispatched(&self) -> u64 {
+        self.core.events_processed - self.core.elided
     }
 
     /// A digest of the machine's complete dynamic state: simulated
@@ -2074,6 +2364,15 @@ impl Machine {
                     op.digest(&mut h);
                     h.write_u64(at.as_u64());
                     h.write_u8(*sync as u8);
+                }
+                None => h.write_u8(0),
+            }
+            match &proc.spin {
+                Some(spin) => {
+                    h.write_u8(1);
+                    h.write_u64(spin.addr.as_u64());
+                    h.write_u64(spin.value);
+                    h.write_u64(spin.pause);
                 }
                 None => h.write_u8(0),
             }

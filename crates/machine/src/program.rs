@@ -7,8 +7,8 @@
 //! local computation, a constant-time barrier (which MINT provided for
 //! exactly this purpose), or termination.
 
-use dsm_protocol::{MemOp, OpResult};
-use dsm_sim::{Cycle, ProcId, SimRng};
+use dsm_protocol::{MemOp, OpResult, Value};
+use dsm_sim::{Addr, Cycle, ProcId, SimRng};
 
 /// What a processor does next.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -18,6 +18,21 @@ pub enum Action {
     Op(MemOp),
     /// Compute locally for the given number of cycles.
     Compute(u64),
+    /// Spin on a word until it changes: exactly
+    /// `loop { Compute(pause); r = Load(addr); if r.value != value { break } }`,
+    /// with the exiting load's result delivered in [`ProcCtx::last`].
+    /// The engine runs the loop itself, so the program is not stepped
+    /// while it spins, and the plain serial engine may skip iterations
+    /// that provably read an unchanged cached value (see
+    /// ARCHITECTURE.md, "Spin-wait elision").
+    SpinWhile {
+        /// The word re-read each iteration.
+        addr: Addr,
+        /// Keep spinning while the word holds this value.
+        value: Value,
+        /// Cycles of local computation before each re-read.
+        pause: u64,
+    },
     /// Wait at the constant-time barrier with the given id. All
     /// processors that have not terminated must reach the same barrier;
     /// they resume simultaneously and the barrier itself costs zero

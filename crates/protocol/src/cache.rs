@@ -113,6 +113,22 @@ impl Cache {
         Some(l)
     }
 
+    /// Applies the LRU effect of `n` consecutive hits on `line` — the
+    /// state `n` calls of [`get_mut`](Self::get_mut) leave — in one
+    /// step. Returns `false` (and changes nothing) if `line` is not
+    /// resident.
+    pub fn touch_n(&mut self, line: LineAddr, n: u64) -> bool {
+        if n == 0 {
+            return self.peek(line).is_some();
+        }
+        let Some(l) = self.get_mut(line) else {
+            return false;
+        };
+        l.lru += n - 1;
+        self.tick += n - 1;
+        true
+    }
+
     /// Returns the resident line without touching LRU state.
     pub fn peek(&self, line: LineAddr) -> Option<&CacheLine> {
         self.sets[self.set_index(line)]
@@ -298,6 +314,30 @@ mod tests {
                 .word(dsm_sim::Addr::new(8)),
             99
         );
+    }
+
+    #[test]
+    fn touch_n_equals_n_hits() {
+        let digest = |c: &Cache| {
+            let mut h = dsm_sim::StableHasher::new();
+            c.digest(&mut h);
+            h.finish()
+        };
+        for n in [0u64, 1, 2, 1000] {
+            let mut one = cache(2, 2);
+            one.insert(LineAddr::new(0), CacheState::Shared, data(0));
+            one.insert(LineAddr::new(2), CacheState::Exclusive, data(2));
+            let mut bulk = one.clone();
+            for _ in 0..n {
+                one.get_mut(LineAddr::new(0));
+            }
+            assert!(bulk.touch_n(LineAddr::new(0), n));
+            assert_eq!(digest(&one), digest(&bulk), "{n} hits");
+        }
+        let mut c = cache(2, 2);
+        let before = digest(&c);
+        assert!(!c.touch_n(LineAddr::new(4), 3), "a miss touches nothing");
+        assert_eq!(digest(&c), before);
     }
 
     #[test]

@@ -156,6 +156,13 @@ impl CacheNode {
         self.resv.line()
     }
 
+    /// Applies the cache-state effect of `n` load hits on `line` at once
+    /// (see [`Cache::touch_n`]). Returns `false` if `line` is not
+    /// resident.
+    pub fn touch_hits(&mut self, line: LineAddr, n: u64) -> bool {
+        self.cache.touch_n(line, n)
+    }
+
     /// The line the outstanding operation targets, if any.
     pub fn pending_line(&self) -> Option<LineAddr> {
         self.mshr.as_ref().map(|m| m.line)

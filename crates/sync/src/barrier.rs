@@ -153,9 +153,12 @@ impl SubMachine for TreeBarrierWait {
                         self.state = WaitState::CheckChild(slot + 1);
                         continue;
                     }
-                    // Still waiting: re-read after a short spin.
-                    self.state = WaitState::CheckChild(slot);
-                    return Step::Compute(SPIN_DELAY);
+                    // Still waiting: spin until the child clears it.
+                    return Step::SpinWhile {
+                        addr: self.own_flags + slot as u64 * 8,
+                        value: v,
+                        pause: SPIN_DELAY,
+                    };
                 }
                 WaitState::ResetChild(slot) => {
                     if slot >= ARRIVAL_ARITY {
@@ -200,8 +203,11 @@ impl SubMachine for TreeBarrierWait {
                         self.state = WaitState::WakeChild(0);
                         continue;
                     }
-                    self.state = WaitState::SpinParent;
-                    return Step::Compute(SPIN_DELAY);
+                    return Step::SpinWhile {
+                        addr: self.own_sense_word,
+                        value: v,
+                        pause: SPIN_DELAY,
+                    };
                 }
                 WaitState::WakeChild(i) => {
                     if (i as usize) < self.wakeup_children.len() {
@@ -292,12 +298,26 @@ mod tests {
         let mut done = vec![false; nprocs as usize];
         // Hold processor 7 back for a while.
         let delayed: usize = 7;
+        let mut spins: Vec<Option<(Addr, u64)>> = vec![None; nprocs as usize];
         let mut ticks = 0;
         while !done.iter().all(|&d| d) {
             ticks += 1;
             assert!(ticks < 100_000, "barrier did not complete");
             for p in 0..nprocs as usize {
                 if done[p] || (p == delayed && ticks < 50) {
+                    continue;
+                }
+                // One spin iteration per tick: re-read, maybe exit.
+                if let Some((addr, value)) = spins[p] {
+                    let v = mem.get(&addr.as_u64()).copied().unwrap_or(0);
+                    if v != value {
+                        spins[p] = None;
+                        last[p] = Some(OpResult::Loaded {
+                            value: v,
+                            serial: None,
+                            reserved: false,
+                        });
+                    }
                     continue;
                 }
                 match waits[p].step(last[p].take(), &mut rng) {
@@ -314,6 +334,7 @@ mod tests {
                     }
                     Step::Op(other) => panic!("barrier issued {other:?}"),
                     Step::Compute(_) => {}
+                    Step::SpinWhile { addr, value, .. } => spins[p] = Some((addr, value)),
                     Step::Done => {
                         done[p] = true;
                         assert!(

@@ -648,6 +648,7 @@ mod tests {
                     last = Some(r);
                 }
                 Step::Compute(_) => {}
+                Step::SpinWhile { .. } => unreachable!("no spin-waits here"),
                 Step::Done => panic!("must not finish before unlinking"),
             }
         }
@@ -700,6 +701,7 @@ mod tests {
                     last = Some(mem.eval(op));
                 }
                 Step::Compute(_) => {}
+                Step::SpinWhile { .. } => unreachable!("no spin-waits here"),
                 Step::Done => break,
             }
         }
@@ -736,6 +738,7 @@ mod tests {
                         last = Some(mem.eval(op));
                     }
                     Step::Compute(_) => {}
+                    Step::SpinWhile { .. } => unreachable!("no spin-waits here"),
                     Step::Done => break,
                 }
             }

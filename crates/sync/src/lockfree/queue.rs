@@ -478,6 +478,7 @@ mod tests {
                     last = Some(r);
                 }
                 Step::Compute(_) => {}
+                Step::SpinWhile { .. } => unreachable!("no spin-waits here"),
                 Step::Done => panic!("must not finish before the swing"),
             }
         }
@@ -534,6 +535,7 @@ mod tests {
                     last = Some(r);
                 }
                 Step::Compute(_) => {}
+                Step::SpinWhile { .. } => unreachable!("no spin-waits here"),
                 Step::Done => panic!("must not finish before the swing"),
             }
         }
@@ -582,6 +584,7 @@ mod tests {
                     last = Some(mem.eval(op));
                 }
                 Step::Compute(_) => {}
+                Step::SpinWhile { .. } => unreachable!("no spin-waits here"),
                 Step::Done => break,
             }
         }

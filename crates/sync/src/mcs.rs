@@ -244,8 +244,11 @@ impl SubMachine for McsAcquire {
                 if v == 0 {
                     Step::Done
                 } else {
-                    self.state = AcqState::SpinLoad;
-                    Step::Compute(SPIN_DELAY)
+                    Step::SpinWhile {
+                        addr: self.qnode.locked,
+                        value: v,
+                        pause: SPIN_DELAY,
+                    }
                 }
             }
         }
@@ -272,7 +275,6 @@ enum RelState {
     WaitCas,
     WaitLl,
     WaitSc,
-    SpinNext,
     WaitSpinNext,
     // FAΦ (swap-only) path.
     WaitSwapOut,
@@ -321,6 +323,22 @@ impl McsRelease {
             addr: Addr::new(successor + 8),
             value: 0,
         })
+    }
+
+    /// Spins on our `next` word and resumes in `WaitSpinNext` with the
+    /// successor's link.
+    fn spin_next(&mut self) -> Step {
+        self.state = RelState::WaitSpinNext;
+        self.spin_next_word()
+    }
+
+    /// Spins until a successor links itself into our `next` word.
+    fn spin_next_word(&self) -> Step {
+        Step::SpinWhile {
+            addr: self.qnode.next,
+            value: 0,
+            pause: SPIN_DELAY,
+        }
     }
 
     /// Finishes the release, optionally dropping the cached copy of the
@@ -392,8 +410,7 @@ impl SubMachine for McsRelease {
                 OpResult::CasDone { success: true, .. } => self.finish(),
                 OpResult::CasDone { success: false, .. } => {
                     // Someone is enqueueing behind us: wait for the link.
-                    self.state = RelState::SpinNext;
-                    Step::Compute(SPIN_DELAY)
+                    self.spin_next()
                 }
                 other => panic!("expected CasDone, got {other:?}"),
             },
@@ -410,8 +427,7 @@ impl SubMachine for McsRelease {
                     })
                 } else {
                     // Tail moved on: a successor is linking itself.
-                    self.state = RelState::SpinNext;
-                    Step::Compute(SPIN_DELAY)
+                    self.spin_next()
                 }
             }
             RelState::WaitBareSc => match last.expect("SC result") {
@@ -440,19 +456,12 @@ impl SubMachine for McsRelease {
                 }
                 other => panic!("expected ScDone, got {other:?}"),
             },
-            RelState::SpinNext => {
-                self.state = RelState::WaitSpinNext;
-                Step::Op(MemOp::Load {
-                    addr: self.qnode.next,
-                })
-            }
             RelState::WaitSpinNext => {
                 let next = last.expect("spin read").value().expect("load value");
                 if next != 0 {
                     self.unlock_successor(next)
                 } else {
-                    self.state = RelState::SpinNext;
-                    Step::Compute(SPIN_DELAY)
+                    self.spin_next()
                 }
             }
             RelState::WaitSwapOut => {
@@ -489,8 +498,7 @@ impl SubMachine for McsRelease {
             RelState::FapWaitSpinNext { usurper } => {
                 let next = last.expect("spin read").value().expect("load value");
                 if next == 0 {
-                    self.state = RelState::FapSpinNext { usurper };
-                    return Step::Compute(SPIN_DELAY);
+                    return self.spin_next_word();
                 }
                 if usurper != 0 {
                     // An usurper grabbed the lock word while it was nil;
@@ -635,7 +643,9 @@ mod tests {
         let acquired_after_release = loop {
             match acq1.step(last.take(), &mut rng) {
                 Step::Op(op) => last = Some(mem.eval(op)),
-                Step::Compute(_) => {
+                Step::Compute(_) => panic!("MCS waits with SpinWhile, not Compute"),
+                Step::SpinWhile { addr, value, .. } => loop {
+                    assert_eq!(addr, q1.locked, "P1 spins on its own flag");
                     spun += 1;
                     if spun == 3 {
                         // Release P0 mid-spin.
@@ -644,7 +654,12 @@ mod tests {
                         drive_sync(&mut rel0, &mut rng, 1000, |op| mem.eval(op));
                     }
                     assert!(spun < 100, "P1 never got the lock");
-                }
+                    let r = mem.eval(MemOp::Load { addr });
+                    if r.value() != Some(value) {
+                        last = Some(r);
+                        break;
+                    }
+                },
                 Step::Done => break true,
             }
         };
@@ -704,6 +719,7 @@ mod tests {
                     }
                 }
                 Step::Compute(_) => {}
+                Step::SpinWhile { .. } => panic!("P1 linked before P0 looked"),
                 Step::Done => break,
             }
         }

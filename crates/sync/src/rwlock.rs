@@ -450,6 +450,7 @@ mod tests {
                     last = Some(mem.eval(op));
                 }
                 Step::Compute(_) => {}
+                Step::SpinWhile { .. } => unreachable!("no spin-waits here"),
                 Step::Done => {
                     assert_eq!(mem.lock, 1);
                     return;
@@ -481,6 +482,7 @@ mod tests {
                     last = Some(mem.eval(op));
                 }
                 Step::Compute(_) => {}
+                Step::SpinWhile { .. } => unreachable!("no spin-waits here"),
                 Step::Done => {
                     assert_eq!(mem.lock, WRITER_BIT);
                     return;

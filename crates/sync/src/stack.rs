@@ -458,6 +458,7 @@ mod tests {
                     }
                 }
                 Step::Compute(_) => {}
+                Step::SpinWhile { .. } => unreachable!("no spin-waits here"),
                 Step::Done => break,
             }
         }

@@ -5,8 +5,8 @@
 //! drive one sub-machine at a time, feeding it operation results until
 //! it reports [`Step::Done`].
 
-use dsm_protocol::{MemOp, OpResult};
-use dsm_sim::SimRng;
+use dsm_protocol::{MemOp, OpResult, Value};
+use dsm_sim::{Addr, SimRng};
 
 /// One step of a sub-machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -15,6 +15,18 @@ pub enum Step {
     Op(MemOp),
     /// Compute locally (e.g. backoff) and come back with `last == None`.
     Compute(u64),
+    /// Spin until the word at `addr` stops holding `value`: repeat
+    /// `Compute(pause)` then `Load(addr)` until the load returns another
+    /// value, and come back with that load's result. Maps one to one
+    /// onto the machine's `Action::SpinWhile`.
+    SpinWhile {
+        /// The word re-read each iteration.
+        addr: Addr,
+        /// Keep spinning while the word holds this value.
+        value: Value,
+        /// Cycles of local computation before each re-read.
+        pause: u64,
+    },
     /// The fragment finished.
     Done,
 }
@@ -45,13 +57,29 @@ where
 {
     let mut last = None;
     let mut ops = 0;
-    for _ in 0..fuel {
+    let mut steps = 0;
+    while steps < fuel {
+        steps += 1;
         match sub.step(last.take(), rng) {
             Step::Op(op) => {
                 ops += 1;
                 last = Some(eval(op));
             }
             Step::Compute(_) => {}
+            Step::SpinWhile { addr, value, .. } => loop {
+                // One iteration (pause, re-read) per step of fuel.
+                ops += 1;
+                let r = eval(MemOp::Load { addr });
+                if r.value() != Some(value) {
+                    last = Some(r);
+                    break;
+                }
+                steps += 1;
+                assert!(
+                    steps < fuel,
+                    "spin on {addr} did not end within {fuel} steps"
+                );
+            },
             Step::Done => return ops,
         }
     }

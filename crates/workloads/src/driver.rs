@@ -55,14 +55,11 @@ impl SubRunner {
     /// happens next).
     pub fn drive(&mut self, ctx: &mut ProcCtx<'_>) -> Option<Action> {
         let m = self.active.as_mut()?;
-        match m.step(ctx.last.take(), ctx.rng) {
-            Step::Op(op) => Some(Action::Op(op)),
-            Step::Compute(c) => Some(Action::Compute(c)),
-            Step::Done => {
-                self.active = None;
-                None
-            }
+        let action = step_action(m.step(ctx.last.take(), ctx.rng));
+        if action.is_none() {
+            self.active = None;
         }
+        action
     }
 }
 
@@ -70,9 +67,16 @@ impl SubRunner {
 /// fields remain readable after completion, unlike a boxed
 /// [`SubRunner`] fragment). Returns `None` once the fragment is done.
 pub fn drive_sub<M: SubMachine>(fragment: &mut M, ctx: &mut ProcCtx<'_>) -> Option<Action> {
-    match fragment.step(ctx.last.take(), ctx.rng) {
+    step_action(fragment.step(ctx.last.take(), ctx.rng))
+}
+
+/// The machine action a sub-machine step asks for, or `None` when the
+/// fragment is done.
+pub fn step_action(step: Step) -> Option<Action> {
+    match step {
         Step::Op(op) => Some(Action::Op(op)),
         Step::Compute(c) => Some(Action::Compute(c)),
+        Step::SpinWhile { addr, value, pause } => Some(Action::SpinWhile { addr, value, pause }),
         Step::Done => None,
     }
 }

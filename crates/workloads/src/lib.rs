@@ -26,7 +26,7 @@ pub mod tclosure;
 pub mod wire_route;
 
 pub use cholesky::{build_cholesky, CholeskyConfig, CholeskyLayout};
-pub use driver::{drive_sub, SubRunner};
+pub use driver::{drive_sub, step_action, SubRunner};
 pub use locked::{LockKind, LockedIncr};
 pub use lockfree::{
     build_lockfree, check_invariants, queue_residue, set_chains, LfConfig, LfLayout, LfRun,

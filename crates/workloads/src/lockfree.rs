@@ -21,13 +21,14 @@
 //! benchmark results are identical with the history kept or thrown
 //! away.
 
+use crate::driver::step_action;
 use dsm_machine::{Action, Machine, MachineBuilder, ProcCtx, Program};
 use dsm_protocol::SyncConfig;
 use dsm_sim::{Addr, MachineConfig};
 use dsm_sync::lockfree::{clear_mark, decode, is_marked};
 use dsm_sync::{
     BucketMap, LinkPrim, MapContains, MapInsert, MapRemove, MsDequeue, MsEnqueue, MsQueue,
-    ShmAlloc, Step, SubMachine,
+    ShmAlloc, SubMachine,
 };
 use dsm_trace::{HistEvent, HistOp, HistRet, History};
 use std::collections::HashMap;
@@ -153,10 +154,9 @@ impl Program for QueueProg {
                     QAct::Enq(m, _) => m.step(ctx.last.take(), ctx.rng),
                     QAct::Deq(m) => m.step(ctx.last.take(), ctx.rng),
                 };
-                match step {
-                    Step::Op(op) => return Action::Op(op),
-                    Step::Compute(c) => return Action::Compute(c),
-                    Step::Done => {
+                match step_action(step) {
+                    Some(action) => return action,
+                    None => {
                         let (op, ret) = match act {
                             QAct::Enq(_, v) => (HistOp::Enqueue(*v), HistRet::Ok),
                             QAct::Deq(m) => (
@@ -227,10 +227,9 @@ impl Program for SetProg {
                     SAct::Rem(m, _) => m.step(ctx.last.take(), ctx.rng),
                     SAct::Con(m, _) => m.step(ctx.last.take(), ctx.rng),
                 };
-                match step {
-                    Step::Op(op) => return Action::Op(op),
-                    Step::Compute(c) => return Action::Compute(c),
-                    Step::Done => {
+                match step_action(step) {
+                    Some(action) => return action,
+                    None => {
                         let (op, ret) = match act {
                             SAct::Ins(m, k) => {
                                 let added = m.inserted().expect("finished");

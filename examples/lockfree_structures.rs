@@ -12,7 +12,8 @@
 use atomic_dsm::machine::{Action, MachineBuilder, ProcCtx};
 use atomic_dsm::sim::{Addr, Cycle, MachineConfig};
 use atomic_dsm::sync::stack::{unpack_node, StackPop, StackPrim, StackPush};
-use atomic_dsm::sync::{ShmAlloc, Step, SubMachine};
+use atomic_dsm::sync::{ShmAlloc, SubMachine};
+use atomic_dsm::workloads::step_action;
 use atomic_dsm::{SyncConfig, SyncPolicy};
 use std::sync::{Arc, Mutex};
 
@@ -43,20 +44,18 @@ fn stack_run(prim: StackPrim, nodes: u32, per_proc: u64) -> (u64, u64, u64) {
         let mut pop: Option<StackPop> = None;
         b.add_program(move |ctx: &mut ProcCtx<'_>| loop {
             if let Some(m) = &mut push {
-                match m.step(ctx.last.take(), ctx.rng) {
-                    Step::Op(op) => return Action::Op(op),
-                    Step::Compute(c) => return Action::Compute(c),
-                    Step::Done => {
+                match step_action(m.step(ctx.last.take(), ctx.rng)) {
+                    Some(action) => return action,
+                    None => {
                         *retries.lock().unwrap() += m.retries;
                         push = None;
                     }
                 }
             }
             if let Some(m) = &mut pop {
-                match m.step(ctx.last.take(), ctx.rng) {
-                    Step::Op(op) => return Action::Op(op),
-                    Step::Compute(c) => return Action::Compute(c),
-                    Step::Done => {
+                match step_action(m.step(ctx.last.take(), ctx.rng)) {
+                    Some(action) => return action,
+                    None => {
                         if m.popped().is_some() {
                             *pops.lock().unwrap() += 1;
                         }

@@ -12,8 +12,9 @@ use atomic_dsm::machine::{Action, MachineBuilder, ProcCtx};
 use atomic_dsm::protocol::{LlscScheme, MemOp, SyncConfig, SyncPolicy};
 use atomic_dsm::sim::{Addr, Cycle, MachineConfig};
 use atomic_dsm::sync::{
-    McsAcquire, McsLock, McsQnode, McsRelease, PrimChoice, Primitive, Step, SubMachine,
+    McsAcquire, McsLock, McsQnode, McsRelease, PrimChoice, Primitive, SubMachine,
 };
+use atomic_dsm::workloads::step_action;
 use std::sync::{Arc, Mutex};
 
 const LOCK: Addr = Addr::new(0x40);
@@ -42,20 +43,18 @@ fn run(nodes: u32, active: u32, iters: u64, bare: bool) -> (u64, u64, u64) {
         let mut stage = 0u8;
         b.add_program(move |ctx: &mut ProcCtx<'_>| loop {
             if let Some(m) = &mut acq {
-                match m.step(ctx.last.take(), ctx.rng) {
-                    Step::Op(op) => return Action::Op(op),
-                    Step::Compute(c) => return Action::Compute(c),
-                    Step::Done => {
+                match step_action(m.step(ctx.last.take(), ctx.rng)) {
+                    Some(action) => return action,
+                    None => {
                         serial = m.tail_serial_after_acquire();
                         acq = None;
                     }
                 }
             }
             if let Some(m) = &mut rel {
-                match m.step(ctx.last.take(), ctx.rng) {
-                    Step::Op(op) => return Action::Op(op),
-                    Step::Compute(c) => return Action::Compute(c),
-                    Step::Done => {
+                match step_action(m.step(ctx.last.take(), ctx.rng)) {
+                    Some(action) => return action,
+                    None => {
                         *bare_hits.lock().unwrap() += m.bare_sc_hits;
                         rel = None;
                     }
@@ -174,10 +173,9 @@ fn bare_sc_falls_back_safely_under_contention() {
         let mut rel: Option<McsRelease> = None;
         b.add_program(move |ctx: &mut ProcCtx<'_>| loop {
             if let Some(m) = &mut acq {
-                match m.step(ctx.last.take(), ctx.rng) {
-                    Step::Op(op) => return Action::Op(op),
-                    Step::Compute(c) => return Action::Compute(c),
-                    Step::Done => {
+                match step_action(m.step(ctx.last.take(), ctx.rng)) {
+                    Some(action) => return action,
+                    None => {
                         let serial = m.tail_serial_after_acquire();
                         acq = None;
                         rel = Some(
@@ -188,10 +186,9 @@ fn bare_sc_falls_back_safely_under_contention() {
                 }
             }
             if let Some(m) = &mut rel {
-                match m.step(ctx.last.take(), ctx.rng) {
-                    Step::Op(op) => return Action::Op(op),
-                    Step::Compute(c) => return Action::Compute(c),
-                    Step::Done => {
+                match step_action(m.step(ctx.last.take(), ctx.rng)) {
+                    Some(action) => return action,
+                    None => {
                         *bare_hits.lock().unwrap() += m.bare_sc_hits;
                         rel = None;
                         left -= 1;

@@ -11,7 +11,8 @@ use atomic_dsm::machine::{Action, Machine, MachineBuilder, ProcCtx, RunError};
 use atomic_dsm::protocol::{MemOp, OpResult, PhiOp, SyncConfig, SyncPolicy};
 use atomic_dsm::sim::{Addr, Cycle, FaultConfig, MachineConfig};
 use atomic_dsm::sync::stack::{unpack_node, StackPop, StackPrim, StackPush};
-use atomic_dsm::sync::{Primitive, ShmAlloc, Step, SubMachine};
+use atomic_dsm::sync::{Primitive, ShmAlloc, SubMachine};
+use atomic_dsm::workloads::step_action;
 use proptest::prelude::*;
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
@@ -255,17 +256,15 @@ fn lockfree_stack_survives_heavy_faults() {
         let mut pop: Option<StackPop> = None;
         b.add_program(move |ctx: &mut ProcCtx<'_>| loop {
             if let Some(m) = &mut push {
-                match m.step(ctx.last.take(), ctx.rng) {
-                    Step::Op(op) => return Action::Op(op),
-                    Step::Compute(c) => return Action::Compute(c),
-                    Step::Done => push = None,
+                match step_action(m.step(ctx.last.take(), ctx.rng)) {
+                    Some(action) => return action,
+                    None => push = None,
                 }
             }
             if let Some(m) = &mut pop {
-                match m.step(ctx.last.take(), ctx.rng) {
-                    Step::Op(op) => return Action::Op(op),
-                    Step::Compute(c) => return Action::Compute(c),
-                    Step::Done => {
+                match step_action(m.step(ctx.last.take(), ctx.rng)) {
+                    Some(action) => return action,
+                    None => {
                         if let Some(n) = m.popped() {
                             popped.lock().unwrap().push(n);
                         }

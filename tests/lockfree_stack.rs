@@ -13,9 +13,10 @@
 use atomic_dsm::machine::{Action, MachineBuilder, ProcCtx};
 use atomic_dsm::sim::{Addr, Cycle, MachineConfig};
 use atomic_dsm::sync::stack::{unpack_node, StackPop, StackPrim, StackPush};
-use atomic_dsm::sync::{ShmAlloc, Step, SubMachine};
+use atomic_dsm::sync::{ShmAlloc, SubMachine};
 use atomic_dsm::trace::linearize::MAX_OPS;
 use atomic_dsm::trace::{assert_linearizable, HistEvent, HistOp, HistRet, History, LifoStackSpec};
+use atomic_dsm::workloads::step_action;
 use atomic_dsm::{SyncConfig, SyncPolicy};
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
@@ -51,10 +52,9 @@ fn run_stress(prim: StackPrim, policy: SyncPolicy, nodes: u32, per_proc: u64) {
         let mut pop: Option<StackPop> = None;
         b.add_program(move |ctx: &mut ProcCtx<'_>| loop {
             if let Some(m) = &mut push {
-                match m.step(ctx.last.take(), ctx.rng) {
-                    Step::Op(op) => return Action::Op(op),
-                    Step::Compute(c) => return Action::Compute(c),
-                    Step::Done => {
+                match step_action(m.step(ctx.last.take(), ctx.rng)) {
+                    Some(action) => return action,
+                    None => {
                         hist.lock().unwrap().push(HistEvent {
                             proc: p,
                             invoked,
@@ -67,10 +67,9 @@ fn run_stress(prim: StackPrim, policy: SyncPolicy, nodes: u32, per_proc: u64) {
                 }
             }
             if let Some(m) = &mut pop {
-                match m.step(ctx.last.take(), ctx.rng) {
-                    Step::Op(op) => return Action::Op(op),
-                    Step::Compute(c) => return Action::Compute(c),
-                    Step::Done => {
+                match step_action(m.step(ctx.last.take(), ctx.rng)) {
+                    Some(action) => return action,
+                    None => {
                         let ret = match m.popped() {
                             Some(n) => {
                                 popped.lock().unwrap().push(n);

@@ -159,3 +159,50 @@ fn disabled_store_writes_nothing() {
     assert!(entries(&dir).is_empty());
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `DSM_PROTO` changes every machine a job builds without entering the
+/// job key, so it must key the store: a DASH result cached by
+/// `figures fig3` must not be served to `figures fig3 --proto=mesif,hna`
+/// (which reported "0 jobs simulated" and printed the DASH tables).
+#[test]
+fn a_proto_run_is_not_served_a_cached_default_result() {
+    struct RestoreProto(Option<std::ffi::OsString>);
+    impl Drop for RestoreProto {
+        fn drop(&mut self) {
+            match self.0.take() {
+                Some(v) => std::env::set_var("DSM_PROTO", v),
+                None => std::env::remove_var("DSM_PROTO"),
+            }
+        }
+    }
+    let _guard = exclusive();
+    let _restore = RestoreProto(std::env::var_os("DSM_PROTO"));
+    let dir = scratch("proto");
+    let job = tiny_job(4);
+    std::env::remove_var("DSM_PROTO");
+    let dash = render(&run_fresh(&dir, &job));
+
+    std::env::set_var("DSM_PROTO", "mesif,hna");
+    let before = runner::stats();
+    let cached = render(&run_fresh(&dir, &job));
+    let after = runner::stats();
+    let uncached = render(&diskcache::with_cache_dir(None, || {
+        runner::clear_cache();
+        runner::try_run_one(&job)
+    }));
+    assert_eq!(
+        after.disk_hits, before.disk_hits,
+        "the DASH entry was served"
+    );
+    assert_eq!(
+        cached, uncached,
+        "a cached --proto run must equal an uncached one"
+    );
+    assert_ne!(cached, dash, "the job must tell the protocols apart");
+
+    // Another spelling of the same protocol shares the new entry.
+    std::env::set_var("DSM_PROTO", "hna, mesif");
+    assert_eq!(render(&run_fresh(&dir, &job)), cached);
+    assert_eq!(runner::stats().disk_hits, after.disk_hits + 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -6,7 +6,8 @@ use atomic_dsm::machine::{Action, MachineBuilder, ProcCtx};
 use atomic_dsm::protocol::MemOp;
 use atomic_dsm::sim::{Cycle, MachineConfig};
 use atomic_dsm::sync::rwlock::{ReadAcquire, ReadRelease, WriteAcquire, WriteRelease};
-use atomic_dsm::sync::{Primitive, ShmAlloc, Step, SubMachine};
+use atomic_dsm::sync::{Primitive, ShmAlloc, SubMachine};
+use atomic_dsm::workloads::step_action;
 use atomic_dsm::{SyncConfig, SyncPolicy};
 use std::sync::{Arc, Mutex};
 
@@ -59,11 +60,11 @@ fn run(prim: Primitive, policy: SyncPolicy, writers: u32, readers: u32, iters: u
                 Frag::WR(m) => Some(m.step(ctx.last.take(), ctx.rng)),
                 Frag::None => None,
             };
-            match step {
-                Some(Step::Op(op)) => return Action::Op(op),
-                Some(Step::Compute(c)) => return Action::Compute(c),
-                Some(Step::Done) => frag = Frag::None,
-                None => {}
+            if let Some(step) = step {
+                match step_action(step) {
+                    Some(action) => return action,
+                    None => frag = Frag::None,
+                }
             }
             if left == 0 {
                 return Action::Done;
