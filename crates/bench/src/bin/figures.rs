@@ -12,8 +12,7 @@
 //! regenerates the committed paper artifacts and deliberately excludes
 //! `scaling-xl`, `lockfree`, `latency`, `metrics` and `modern` —
 //! request those tables by name). `scaling-xl` extends the scaling
-//! sweep to the beyond-paper 256- and 1024-node machines that the PDES
-//! engine makes tractable. `modern` is the modern-architecture
+//! sweep to the beyond-paper 256- and 1024-node machines. `modern` is the modern-architecture
 //! ablation — "Table 1 on a 2020s machine" (see RESULTS.md): chain
 //! tables, counter sweeps and a false-sharing table across the
 //! MESI(F)/NUMA/hierarchical/wide-line variant matrix plus home-node
@@ -26,11 +25,7 @@
 //! renders each counter graph as an ASCII bar chart (the paper's
 //! figures are bar charts); `--jobs N` pins the experiment runner's
 //! worker count (default: `DSM_JOBS` or the machine's parallelism —
-//! output is identical either way, only wall-clock changes);
-//! `--workers N` shards every simulated machine across N PDES worker
-//! threads (`DSM_WORKERS`, the intra-run sibling of `--jobs` — see
-//! ARCHITECTURE.md). Every artifact is byte-identical across
-//! `--workers` settings; only wall-clock changes.
+//! output is identical either way, only wall-clock changes).
 //! `--faults[=SPEC]` turns on deterministic fault injection and
 //! `--paranoid` runs the protocol invariant checker after every
 //! transition (see EXPERIMENTS.md — both off by default, leaving every
@@ -222,20 +217,6 @@ fn main() {
                 std::process::exit(2);
             }
         });
-    // `--workers N` rides on the same env override the machine builder
-    // honors for `DSM_WORKERS`: every simulated machine in every job is
-    // sharded across N PDES worker threads. Results are byte-identical
-    // to serial runs (tests/pdes_identity.rs), so this is safe for the
-    // committed paper artifacts.
-    if let Some(i) = args.iter().position(|a| a == "--workers") {
-        match args.get(i + 1).map(|v| v.parse::<usize>()) {
-            Some(Ok(n)) if n >= 1 => std::env::set_var("DSM_WORKERS", n.to_string()),
-            _ => {
-                eprintln!("--workers takes a positive integer");
-                std::process::exit(2);
-            }
-        }
-    }
     let mut skip_next = false;
     let wanted: Vec<&str> = args
         .iter()
@@ -244,7 +225,7 @@ fn main() {
                 skip_next = false;
                 return false;
             }
-            if *a == "--csv" || *a == "--jobs" || *a == "--workers" {
+            if *a == "--csv" || *a == "--jobs" {
                 skip_next = true;
                 return false;
             }

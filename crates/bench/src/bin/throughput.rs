@@ -28,22 +28,13 @@
 //! * `--trace[=SPEC]` capture a structured event trace of every
 //!   workload machine (see `dsm_trace::TraceSpec` for the grammar).
 //!   Tracing costs wall clock, so never pass it when refreshing the
-//!   committed baseline;
-//! * `--pdes-workers LIST` worker counts for the PDES scaling row
-//!   (default `1,2,4,8`; `--pdes-workers 1` skips the parallel runs).
+//!   committed baseline.
 //!
 //! The report is a single JSON object: one entry per workload plus a
 //! `total`, each `{sim_cycles, events, wall_ms, cycles_per_sec,
-//! events_per_sec}`, and a `pdes` array recording each workload's
-//! throughput at every `--pdes-workers` count together with its
-//! speedup over the 1-worker (serial-engine) run.
-//!
-//! The floor gate deliberately checks the **serial** numbers only: the
-//! basket pins every machine to one worker (`set_workers(1)`), so the
-//! committed floor stays comparable across hosts with different core
-//! counts and `DSM_WORKERS` settings. PDES speedups are recorded in
-//! the `pdes` block (with the host's parallelism for context) but
-//! never gated.
+//! events_per_sec}`. Every workload runs one machine on one thread, so
+//! the committed floor stays comparable across hosts with different
+//! core counts.
 
 use atomic_dsm::experiments::{BarSpec, CounterKind};
 use atomic_dsm::machine::Machine;
@@ -84,20 +75,9 @@ impl Measurement {
     }
 }
 
-/// Builds, runs and times one machine; the builder closure keeps
-/// construction cost (allocation, program setup) out of the clock.
-///
-/// The worker count is pinned explicitly (never inherited from
-/// `DSM_WORKERS`): the floor-gated basket always measures the serial
-/// engine, and the PDES scaling row sets each count deliberately.
-fn measure_with_workers(
-    name: &'static str,
-    machine: Machine,
-    workers: usize,
-    check: impl FnOnce(&Machine),
-) -> Measurement {
-    let mut machine = machine;
-    machine.set_workers(workers);
+/// Runs and times one built machine, so construction cost
+/// (allocation, program setup) stays out of the clock.
+fn measure(name: &'static str, mut machine: Machine, check: impl FnOnce(&Machine)) -> Measurement {
     let start = Instant::now();
     let report = machine.run(RUN_LIMIT).unwrap_or_else(|e| {
         panic!("throughput workload {name} failed: {e}");
@@ -141,7 +121,6 @@ fn counter_workload(
     procs: u32,
     contention: u32,
     rounds: u64,
-    workers: usize,
 ) -> Measurement {
     let scfg = SyntheticConfig {
         kind,
@@ -153,7 +132,7 @@ fn counter_workload(
     };
     let (machine, layout) = build_synthetic(MachineConfig::with_nodes(procs), &scfg);
     let expected = scfg.total_updates(procs);
-    measure_with_workers(name, machine, workers, move |m| {
+    measure(name, machine, move |m| {
         assert_eq!(
             m.read_word(layout.counter),
             expected,
@@ -162,7 +141,7 @@ fn counter_workload(
     })
 }
 
-fn tclosure_workload(name: &'static str, procs: u32, size: u64, workers: usize) -> Measurement {
+fn tclosure_workload(name: &'static str, procs: u32, size: u64) -> Measurement {
     let bar = BarSpec::new(SyncPolicy::Inv, Primitive::Cas);
     let cfg = TcConfig {
         size,
@@ -172,7 +151,7 @@ fn tclosure_workload(name: &'static str, procs: u32, size: u64, workers: usize) 
         seed: 1898,
     };
     let (machine, layout, input) = build_tclosure(MachineConfig::with_nodes(procs), &cfg);
-    measure_with_workers(name, machine, workers, move |m| {
+    measure(name, machine, move |m| {
         let got = atomic_dsm::workloads::tclosure::read_matrix(m, &layout, cfg.size);
         assert_eq!(got, sequential_closure(&input), "{name}: closure mismatch");
     })
@@ -215,7 +194,6 @@ fn main() {
     let mut floor_path: Option<String> = None;
     let mut floor_pct: f64 = 15.0;
     let mut repeat: u32 = 1;
-    let mut pdes_workers: Vec<usize> = vec![1, 2, 4, 8];
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -253,25 +231,6 @@ fn main() {
                     .expect("--repeat needs a positive integer");
                 assert!(repeat >= 1, "--repeat needs a positive integer");
             }
-            "--pdes-workers" => {
-                i += 1;
-                let list = args.get(i).expect("--pdes-workers needs a list like 1,2,4");
-                pdes_workers = list
-                    .split(',')
-                    .map(|v| {
-                        let n: usize = v
-                            .trim()
-                            .parse()
-                            .expect("--pdes-workers needs comma-separated positive integers");
-                        assert!(n >= 1, "--pdes-workers counts must be >= 1");
-                        n
-                    })
-                    .collect();
-                assert!(
-                    pdes_workers.first() == Some(&1),
-                    "--pdes-workers must start at 1 (the serial speedup reference)"
-                );
-            }
             "--trace" => std::env::set_var("DSM_TRACE", "1"),
             other if other.starts_with("--trace=") => {
                 let spec = &other["--trace=".len()..];
@@ -285,7 +244,7 @@ fn main() {
                 eprintln!("unknown flag {other}");
                 eprintln!(
                     "usage: throughput [--quick] [--out FILE] [--baseline FILE] [--repeat N] \
-                     [--floor FILE] [--floor-pct N] [--pdes-workers LIST] [--trace[=SPEC]]"
+                     [--floor FILE] [--floor-pct N] [--trace[=SPEC]]"
                 );
                 std::process::exit(2);
             }
@@ -299,48 +258,22 @@ fn main() {
 
     let lockfree = BarSpec::new(SyncPolicy::Inv, Primitive::FetchPhi);
     let mcs = BarSpec::new(SyncPolicy::Inv, Primitive::Cas);
-    // One builder per basket workload, parameterized on the PDES worker
-    // count: the floor-gated basket runs at 1 worker (the serial
-    // engine), the scaling row below revisits each at every count.
-    type Builder<'a> = (&'static str, Box<dyn Fn(usize) -> Measurement + 'a>);
-    let builders: Vec<Builder<'_>> = vec![
-        (
-            "counter-lockfree",
-            Box::new(|w| {
-                counter_workload(
-                    "counter-lockfree",
-                    CounterKind::LockFree,
-                    &lockfree,
-                    procs,
-                    4,
-                    rounds,
-                    w,
-                )
-            }),
-        ),
-        (
-            "counter-mcs",
-            Box::new(|w| {
-                counter_workload(
-                    "counter-mcs",
-                    CounterKind::McsLock,
-                    &mcs,
-                    procs,
-                    4,
-                    rounds,
-                    w,
-                )
-            }),
-        ),
-        (
-            "app-tclosure",
-            Box::new(|w| tclosure_workload("app-tclosure", procs, tc_size, w)),
-        ),
+    let workloads = [
+        best_of(repeat, || {
+            counter_workload(
+                "counter-lockfree",
+                CounterKind::LockFree,
+                &lockfree,
+                procs,
+                4,
+                rounds,
+            )
+        }),
+        best_of(repeat, || {
+            counter_workload("counter-mcs", CounterKind::McsLock, &mcs, procs, 4, rounds)
+        }),
+        best_of(repeat, || tclosure_workload("app-tclosure", procs, tc_size)),
     ];
-    let workloads: Vec<Measurement> = builders
-        .iter()
-        .map(|(_, build)| best_of(repeat, || build(1)))
-        .collect();
 
     let total = Measurement {
         name: "total",
@@ -362,45 +295,6 @@ fn main() {
         );
     }
 
-    // PDES scaling row: every basket workload re-measured at each
-    // requested worker count. The 1-worker basket runs above are the
-    // speedup reference; simulated cycle/event counts must be
-    // bit-identical at every count (tests/pdes_identity.rs proves the
-    // digests match — this asserts the cheap subset end to end).
-    let host_par = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let mut pdes_entries: Vec<String> = Vec::new();
-    for (idx, (name, build)) in builders.iter().enumerate() {
-        let serial = &workloads[idx];
-        for &w in &pdes_workers {
-            let m = if w == 1 {
-                None
-            } else {
-                Some(best_of(repeat, || build(w)))
-            };
-            let m = m.as_ref().unwrap_or(serial);
-            assert_eq!(
-                (m.sim_cycles, m.events),
-                (serial.sim_cycles, serial.events),
-                "{name}: {w}-worker run diverged from serial"
-            );
-            let speedup = m.cycles_per_sec() / serial.cycles_per_sec();
-            eprintln!(
-                "  pdes {name:<18} workers={w}  {:>9.1} ms  {:>12.0} cyc/s  speedup {speedup:.2}x",
-                m.wall_ms,
-                m.cycles_per_sec()
-            );
-            pdes_entries.push(format!(
-                "    {{\n      \"name\": \"{name}\",\n      \"workers\": {w},\n      \"wall_ms\": {:.3},\n      \"cycles_per_sec\": {:.0},\n      \"speedup\": {speedup:.2}\n    }}",
-                m.wall_ms,
-                m.cycles_per_sec()
-            ));
-        }
-    }
-    let pdes_block = format!(
-        ",\n  \"pdes\": {{\n    \"host_parallelism\": {host_par},\n    \"rows\": [\n{}\n    ]\n  }}",
-        pdes_entries.join(",\n")
-    );
-
     let mut baseline_block = String::new();
     if let Some(path) = &baseline_path {
         let text = std::fs::read_to_string(path)
@@ -420,7 +314,7 @@ fn main() {
 
     let entries: Vec<String> = workloads.iter().map(|m| fmt_entry(m, "    ")).collect();
     let json = format!(
-        "{{\n  \"scale\": \"{scale_label}\",\n  \"workloads\": [\n{}\n  ],\n  \"total\": {}{pdes_block}{baseline_block}\n}}\n",
+        "{{\n  \"scale\": \"{scale_label}\",\n  \"workloads\": [\n{}\n  ],\n  \"total\": {}{baseline_block}\n}}\n",
         entries.join(",\n"),
         fmt_entry(&total, "  ").trim_start()
     );

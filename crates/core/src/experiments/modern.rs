@@ -392,7 +392,7 @@ fn fs_measure(sync: SyncConfig, other: Addr, procs: u32, rounds: u64) -> f64 {
 /// Measures the false-sharing table on the baseline machine: cached
 /// INV fetch&add, uncached fetch&add, and home-node fetch&add, each
 /// with the privately-owned counter pair packed into one line and
-/// split across lines (see [`fs_measure`] for the workload).
+/// split across lines (see `fs_measure` for the workload).
 pub fn false_sharing(procs: u32, rounds: u64) -> Vec<FalseSharingRow> {
     let configs = [
         (
@@ -433,7 +433,7 @@ pub fn false_sharing(procs: u32, rounds: u64) -> Vec<FalseSharingRow> {
 /// Chain tables and the false-sharing workload run as directed
 /// micro-machines (microseconds each); counter sweeps fan out across
 /// the experiment [`runner`]. The whole artifact is byte-identical
-/// across `--jobs` and `DSM_WORKERS` settings.
+/// across `--jobs` settings.
 pub fn run(scale: &Scale) -> ModernReport {
     let variants = VARIANTS
         .iter()

@@ -14,8 +14,8 @@ pub const PROCS: [u32; 6] = [2, 4, 8, 16, 32, 64];
 
 /// Beyond-paper machine sizes (`figures scaling-xl`). These are kept
 /// out of `all` so the committed paper artifacts stay byte-identical;
-/// they exist because the PDES engine (`DSM_WORKERS`) makes machines
-/// this large simulable in reasonable wall-clock time.
+/// they show how the implementations scale past the paper's 64
+/// processors.
 pub const PROCS_XL: [u32; 2] = [256, 1024];
 
 /// One sweep line: an implementation across machine sizes.

@@ -38,7 +38,6 @@
 #![deny(missing_docs)]
 
 pub mod machine;
-mod pdes;
 pub mod program;
 pub mod stats;
 pub mod trace;

@@ -1,25 +1,21 @@
 //! The machine simulator: processors + cache controllers + home nodes +
 //! network, driven by a discrete-event loop.
 //!
-//! The engine is split in two layers:
+//! The engine has two layers:
 //!
-//! * [`Core`] — the shardable simulation state (a contiguous node
-//!   range: homes, caches, processors, network ports, per-node event
-//!   queue and statistics) plus the event dispatcher. A serial run uses
-//!   one full-range core; a PDES run ([`crate::pdes`]) splits the core
-//!   into per-worker shards and merges them back afterwards.
-//! * [`Machine`] — the public wrapper owning the run policy and the
-//!   serial-only instrumentation (tracer, fault injector, paranoid
-//!   checking, debug ring), which all force the serial path so the
-//!   parallel dispatcher never has to synchronize on them.
+//! * `Core` — the simulation state (homes, caches, processors, network
+//!   ports, the event queue, per-node statistics and the
+//!   instrumentation: tracer, debug ring, fault injector, paranoid
+//!   flag) plus the event dispatcher.
+//! * [`Machine`] — the public wrapper owning the run loop and its
+//!   policy: cycle limit, stop rules, watchdog, wall-clock budget and
+//!   the fault-injection window.
 //!
-//! Every event carries an explicit 128-bit tie-break key (see
-//! [`key_wire`] / [`key_local`] / [`key_barrier`]): same-cycle events
-//! dispatch in key order, the key of an event is derived only from
-//! deterministic per-node counters, and a key names the node it
-//! belongs to in its top bits. That is what makes the parallel engine
-//! bit-identical to the serial one — each shard dispatches exactly the
-//! subsequence of the serial dispatch order that touches its nodes.
+//! Every event carries an explicit 128-bit tie-break key (see the
+//! "Canonical event keys" section below): same-cycle events dispatch
+//! in key order, and the key of an event is derived only from
+//! deterministic per-node counters. The committed paper artifacts were
+//! generated under exactly this order, so it stays fixed.
 
 use crate::program::{Action, ProcCtx, Program};
 use crate::stats::{merge_node_stats, MachineStats, NodeStats, SyncRec, SyncRecKind};
@@ -234,9 +230,9 @@ pub struct RunReport {
 /// system — rebuilding the same machine and pausing after the same
 /// event count reproduces the paused state bit for bit.
 ///
-/// A stop rule other than [`StopRule::None`] forces the serial engine
-/// (worker setting ignored): pause points are defined by the global
-/// event order, which only the serial loop observes directly.
+/// A stop rule other than [`StopRule::None`] turns spin-wait elision
+/// off, so every event the rule counts is dispatched and a pause can
+/// land on any of them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StopRule {
     /// Never pause (equivalent to [`Machine::run`]).
@@ -272,26 +268,25 @@ impl RunOutcome {
 //
 // Every queued event carries a `u128` key with the layout
 //
-//   bits 96..128  node the event belongs to (dispatch shard)
+//   bits 96..128  node the event belongs to
 //   bits 88..96   rank: 0 = Wire, 1 = Deliver, 2 = local, 3 = barrier
 //   bits  0..88   rank-specific sub-key
 //
-// Same-cycle events dispatch in ascending key order. Because the node
-// occupies the top bits, the serial dispatch order visits same-cycle
-// events grouped by node — so a per-node (per-shard) dispatch order is
-// exactly the serial order restricted to that node, which is the
-// invariant the PDES engine rides on. Sub-keys come from per-node
-// monotone counters (the network's per-source launch sequence for
-// wire/deliver events, `Core::local_seq` for local events), never from
-// global state.
+// Same-cycle events dispatch in ascending key order, so the dispatch
+// order visits same-cycle events grouped by node. Sub-keys come from
+// per-node monotone counters (the network's per-source launch sequence
+// for wire/deliver events, `Core::local_seq` for local events), never
+// from global state. Every simulated result depends on this order —
+// the committed artifacts and the spin-elision reconstruction (which
+// reproduces the literal run's keys) included — so it must not change.
 
 /// Bit position of the rank field in an event key.
-pub(crate) const RANK_SHIFT: u32 = 88;
+const RANK_SHIFT: u32 = 88;
 
 /// Key of a [`Event::Wire`] arrival: destination node, rank 0, then
 /// `(src, launch_seq)` — the per-source FIFO coordinate.
 #[inline]
-pub(crate) fn key_wire(dst: NodeId, src: NodeId, seq: u64) -> u128 {
+fn key_wire(dst: NodeId, src: NodeId, seq: u64) -> u128 {
     debug_assert!(seq < 1 << 56, "launch sequence overflow");
     (u128::from(dst.as_u32()) << 96) | (u128::from(src.as_u32()) << 56) | u128::from(seq)
 }
@@ -299,32 +294,25 @@ pub(crate) fn key_wire(dst: NodeId, src: NodeId, seq: u64) -> u128 {
 /// Key of a local event (`Process`, `ProcStep`, `OpDone`): node, rank
 /// 2, then the node's monotone local sequence number.
 #[inline]
-pub(crate) fn key_local(node: u32, seq: u64) -> u128 {
+fn key_local(node: u32, seq: u64) -> u128 {
     (u128::from(node) << 96) | (2u128 << RANK_SHIFT) | u128::from(seq)
 }
 
 /// Key of a barrier-release `ProcStep`: node, rank 3. Rank 3 sorts
-/// after every other same-cycle event of the node, which matches the
-/// serial engine where the release is pushed while dispatching the
-/// trigger event (the last arrival) and therefore runs after all
-/// already-queued same-cycle work.
+/// after every other same-cycle event of the node: the release is
+/// pushed while dispatching the trigger event (the last arrival), so
+/// it runs after the node's already-queued same-cycle work.
 #[inline]
-pub(crate) fn key_barrier(node: u32) -> u128 {
+fn key_barrier(node: u32) -> u128 {
     (u128::from(node) << 96) | (3u128 << RANK_SHIFT) | u128::from(node)
 }
 
-/// The node (= dispatch shard coordinate) an event key belongs to.
-#[inline]
-pub(crate) fn key_node(key: u128) -> u32 {
-    (key >> 96) as u32
-}
-
 #[derive(Debug)]
-pub(crate) enum Event {
+enum Event {
     /// A message's head flit reached its destination's network exit
-    /// port (split-phase network, phase 2 pending): the destination
-    /// shard runs [`NetPorts::eject`] to serialize it through the exit
-    /// port and learn the delivery time.
+    /// port (split-phase network, phase 2 pending): dispatching it runs
+    /// [`NetPorts::eject`] to serialize it through the exit port and
+    /// learn the delivery time.
     Wire(Box<Msg>),
     /// A message arrived at its destination (exit port included).
     ///
@@ -353,50 +341,8 @@ pub(crate) enum Event {
     OpDone(ProcId, Box<OpOutcome>),
 }
 
-/// What a dispatched event did to the global run condition — the only
-/// two effects that need cross-shard coordination. The serial loop
-/// reacts by scanning for a barrier release; the PDES coordinator
-/// folds them into its generation bookkeeping.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Effect {
-    /// Nothing the scheduler needs to know about.
-    None,
-    /// A processor arrived at a barrier.
-    Arrived,
-    /// A processor terminated.
-    Finished,
-}
-
 /// The debug message-trace ring buffer: `(capacity, entries)`.
-pub(crate) type TraceRing = (usize, std::collections::VecDeque<String>);
-
-/// Everything a [`Core`] needs from its environment while dispatching:
-/// instrumentation (tracer, debug ring, fault jitter, paranoid flag)
-/// and the cross-shard message transport. The serial engine passes a
-/// [`SerialIo`] borrowing the machine's instrumentation; shards pass a
-/// transport that pushes into inter-worker channels and report no
-/// instrumentation (those modes force the serial path).
-pub(crate) trait ShardIo {
-    /// Fault-injected extra network delay for a message sent now.
-    fn jitter(&mut self, _now: Cycle) -> u64 {
-        0
-    }
-    /// The structured tracer, when tracing is on.
-    fn tracer(&mut self) -> Option<&mut Tracer> {
-        None
-    }
-    /// The debug message ring, when enabled.
-    fn ring(&mut self) -> Option<&mut TraceRing> {
-        None
-    }
-    /// Run the per-transition invariant checker.
-    fn paranoid(&self) -> bool {
-        false
-    }
-    /// Hand a message whose destination is outside this core's range to
-    /// the cross-shard transport, keyed for deterministic merge.
-    fn send_remote(&mut self, wire_at: Cycle, key: u128, msg: Msg);
-}
+type TraceRing = (usize, std::collections::VecDeque<String>);
 
 struct ProcState {
     program: Box<dyn Program>,
@@ -450,31 +396,17 @@ struct Park {
 }
 
 // ---------------------------------------------------------------------
-// Core: the shardable engine
+// Core: the engine
 // ---------------------------------------------------------------------
 
-/// The shardable simulation state for a contiguous node range
-/// `[lo, hi)` plus the event dispatcher that advances it.
-///
-/// A serial run owns one full-range core. A PDES run splits the core
-/// into per-worker shards ([`Core::split_off`]); each shard is a fully
-/// self-contained simulator for its nodes — its own event queue,
-/// network ports ([`NetPorts::split`]), statistics accumulators and
-/// recycling pools — communicating with other shards only through
-/// keyed cross-shard messages ([`ShardIo::send_remote`]) and the
-/// coordinator's barrier/termination protocol. [`Core::absorb`] puts
-/// the machine back together.
-pub(crate) struct Core {
-    /// First node owned by this core.
-    pub(crate) lo: u32,
-    /// One past the last node owned by this core.
-    pub(crate) hi: u32,
-    pub(crate) cfg: MachineConfig,
-    pub(crate) map: AddressMap,
-    pub(crate) mesh: Mesh,
-    pub(crate) now: Cycle,
-    pub(crate) events: EventQueue<Event>,
-    pub(crate) ports: NetPorts,
+/// The simulation state plus the event dispatcher that advances it.
+struct Core {
+    cfg: MachineConfig,
+    map: AddressMap,
+    mesh: Mesh,
+    now: Cycle,
+    events: EventQueue<Event>,
+    ports: NetPorts,
     homes: Vec<HomeNode>,
     caches: Vec<CacheNode>,
     procs: Vec<ProcState>,
@@ -483,19 +415,19 @@ pub(crate) struct Core {
     /// Per-node cache-controller server availability.
     cache_busy: Vec<Cycle>,
     /// Per-node statistics, merged on demand (canonical node order).
-    pub(crate) nstats: Vec<NodeStats>,
+    nstats: Vec<NodeStats>,
     /// Append-only log of sync begin/end records; replayed in canonical
     /// coordinate order when global statistics are read.
-    pub(crate) sync_log: Vec<SyncRec>,
+    sync_log: Vec<SyncRec>,
     /// Per-node monotone sequence for local event keys.
     local_seq: Vec<u64>,
     /// Per-node monotone sequence for sync-log coordinates.
     sync_seq: Vec<u64>,
-    /// Non-terminated processors in this core's range.
-    pub(crate) active: usize,
-    pub(crate) events_processed: u64,
+    /// Non-terminated processors.
+    active: usize,
+    events_processed: u64,
     /// Last time a memory operation retired (watchdog bookkeeping).
-    pub(crate) last_retire: Cycle,
+    last_retire: Cycle,
     /// Reusable outbox: protocol handlers fill it, [`Core::route`]
     /// drains it in place, and the backing vector's capacity survives
     /// from event to event instead of being reallocated per dispatch.
@@ -519,66 +451,26 @@ pub(crate) struct Core {
     parked: usize,
     /// Events counted in `events_processed` that parking applied
     /// without dispatching them.
-    pub(crate) elided: u64,
-}
-
-/// Partitions `nodes` into `workers` contiguous shard ranges
-/// `(lo, count)`, remainder spread over the first shards.
-pub(crate) fn shard_bounds(nodes: u32, workers: usize) -> Vec<(u32, u32)> {
-    let w = (workers.max(1) as u32).min(nodes.max(1));
-    let base = nodes / w;
-    let rem = nodes % w;
-    let mut out = Vec::with_capacity(w as usize);
-    let mut lo = 0;
-    for i in 0..w {
-        let count = base + u32::from(i < rem);
-        out.push((lo, count));
-        lo += count;
-    }
-    out
-}
-
-/// Which shard of `bounds` owns `node`.
-pub(crate) fn shard_of(bounds: &[(u32, u32)], node: u32) -> usize {
-    bounds
-        .iter()
-        .position(|&(lo, count)| node >= lo && node < lo + count)
-        .expect("node outside every shard")
+    elided: u64,
+    /// Structured event tracer (`--trace` / `DSM_TRACE`), boxed so the
+    /// disabled case costs one pointer and one never-taken branch per
+    /// instrumentation site.
+    tracer: Option<Box<Tracer>>,
+    /// Optional message-trace ring buffer (debugging aid).
+    ring: Option<TraceRing>,
+    /// Deterministic fault injector, present only when faults are on.
+    injector: Option<FaultInjector>,
+    /// Run the invariant checker after every protocol transition.
+    paranoid: bool,
 }
 
 impl Core {
-    /// Local index of a node in this core's vectors.
-    #[inline]
-    fn li(&self, node: u32) -> usize {
-        debug_assert!(
-            node >= self.lo && node < self.hi,
-            "node {node} outside shard [{}, {})",
-            self.lo,
-            self.hi
-        );
-        (node - self.lo) as usize
-    }
-
-    /// `true` if this core simulates `node`.
-    #[inline]
-    fn owns(&self, node: u32) -> bool {
-        node >= self.lo && node < self.hi
-    }
-
     /// Pushes a local event with the node's next monotone key.
     fn push_local(&mut self, at: Cycle, node: u32, event: Event) {
-        let i = self.li(node);
+        let i = node as usize;
         let key = key_local(node, self.local_seq[i]);
         self.local_seq[i] += 1;
         self.events.push_keyed(at, key, event);
-    }
-
-    /// Accepts a cross-shard message from the transport: re-boxes it
-    /// from the local pool and queues its wire arrival under the
-    /// sender-assigned key.
-    pub(crate) fn push_remote(&mut self, wire_at: Cycle, key: u128, msg: Msg) {
-        let boxed = self.box_msg(msg);
-        self.events.push_keyed(wire_at, key, Event::Wire(boxed));
     }
 
     /// Wraps a message in a (pooled) box for the event queue.
@@ -623,44 +515,32 @@ impl Core {
     }
 
     /// Dispatches one event. `key` is the event's queue key (needed to
-    /// derive the delivery key of a wire arrival).
-    pub(crate) fn dispatch(
-        &mut self,
-        key: u128,
-        event: Event,
-        io: &mut impl ShardIo,
-    ) -> Result<Effect, RunError> {
+    /// derive the delivery key of a wire arrival). Returns `true` when
+    /// the event may have released a barrier: a processor arrived at
+    /// one or terminated.
+    fn dispatch(&mut self, key: u128, event: Event) -> Result<bool, RunError> {
         match event {
-            Event::ProcStep(p) => self.proc_step(p, io),
+            Event::ProcStep(p) => return self.proc_step(p),
             Event::OpDone(p, outcome) => {
                 let o = *outcome;
                 self.outcome_pool.push(outcome);
-                self.op_done(p, o, io)?;
-                Ok(Effect::None)
+                self.op_done(p, o)?;
             }
-            Event::Wire(msg) => {
-                self.wire(key, msg, io);
-                Ok(Effect::None)
-            }
-            Event::Deliver(msg) => {
-                self.deliver(msg, io);
-                Ok(Effect::None)
-            }
-            Event::Process(msg, span) => {
-                self.process(msg, span, io)?;
-                Ok(Effect::None)
-            }
+            Event::Wire(msg) => self.wire(key, msg),
+            Event::Deliver(msg) => self.deliver(msg),
+            Event::Process(msg, span) => self.process(msg, span)?,
         }
+        Ok(false)
     }
 
     /// Routes freshly emitted messages into the network, draining the
     /// outbox in place so its allocation is reusable. Phase 1 of the
-    /// split-phase network: the *source* shard serializes the message
-    /// through its entry port and learns the wire-arrival time; the
-    /// destination shard finishes the job in [`Core::wire`].
-    fn route(&mut self, out: &mut Outbox, io: &mut impl ShardIo) {
+    /// split-phase network: the message is serialized through its
+    /// source's entry port and queued for its wire arrival; the
+    /// destination's exit port is [`Core::wire`]'s business.
+    fn route(&mut self, out: &mut Outbox) {
         for msg in out.msgs.drain(..) {
-            if let Some((cap, q)) = io.ring() {
+            if let Some((cap, q)) = &mut self.ring {
                 if q.len() == *cap {
                     q.pop_front();
                 }
@@ -673,10 +553,12 @@ impl Core {
                     std::mem::discriminant(&msg.kind)
                 ));
             }
-            let src_li = self.li(msg.src.as_u32());
-            self.nstats[src_li].msgs.count(msg.kind.class());
+            self.nstats[msg.src.index()].msgs.count(msg.kind.class());
             let flits = msg.flits(&self.cfg.params);
-            let extra = io.jitter(self.now);
+            let extra = match &mut self.injector {
+                Some(inj) => inj.jitter(self.now.as_u64()),
+                None => 0,
+            };
             let (wire_at, seq) = self.ports.launch(
                 &self.cfg.params,
                 &self.mesh,
@@ -686,7 +568,7 @@ impl Core {
                 flits,
                 extra,
             );
-            if let Some(tracer) = io.tracer() {
+            if let Some(tracer) = &mut self.tracer {
                 if tracer.wants(Category::Msg) {
                     // Wire arrival, not final delivery: the exit port is
                     // the destination's business and unknown at launch.
@@ -703,25 +585,21 @@ impl Core {
                 }
             }
             let key = key_wire(msg.dst, msg.src, seq);
-            if self.owns(msg.dst.as_u32()) {
-                let boxed = self.box_msg(msg);
-                self.events.push_keyed(wire_at, key, Event::Wire(boxed));
-            } else {
-                io.send_remote(wire_at, key, msg);
-            }
+            let boxed = self.box_msg(msg);
+            self.events.push_keyed(wire_at, key, Event::Wire(boxed));
         }
     }
 
     /// Phase 2 of the split-phase network: the destination serializes
     /// the arrived message through its exit port. When the exit port is
     /// free the message is delivered inline (no extra queue transit).
-    fn wire(&mut self, key: u128, msg: Box<Msg>, io: &mut impl ShardIo) {
+    fn wire(&mut self, key: u128, msg: Box<Msg>) {
         let flits = msg.flits(&self.cfg.params);
         let delivered = self
             .ports
             .eject(&self.cfg.params, self.now, msg.src, msg.dst, flits);
         if delivered == self.now {
-            self.deliver(msg, io);
+            self.deliver(msg);
         } else {
             self.events
                 .push_keyed(delivered, key | (1u128 << RANK_SHIFT), Event::Deliver(msg));
@@ -730,8 +608,8 @@ impl Core {
 
     /// A message reached its destination: queue it for the appropriate
     /// server (memory module or cache controller).
-    fn deliver(&mut self, msg: Box<Msg>, io: &mut impl ShardIo) {
-        let node = self.li(msg.dst.as_u32());
+    fn deliver(&mut self, msg: Box<Msg>) {
+        let node = msg.dst.index();
         // The `Process` pushed below takes the node's next local key;
         // a parked spinner's earlier iterations took theirs first.
         if self.procs[node].park.is_some() {
@@ -749,7 +627,7 @@ impl Core {
         let finish = start + service;
         *busy = finish;
         let mut span = 0;
-        if let Some(tracer) = io.tracer() {
+        if let Some(tracer) = &mut self.tracer {
             if tracer.wants(Category::Msg) {
                 span = tracer.msg_service(
                     start,
@@ -766,11 +644,11 @@ impl Core {
         self.push_local(finish, dst, Event::Process(msg, span));
     }
 
-    fn proc_step(&mut self, p: ProcId, io: &mut impl ShardIo) -> Result<Effect, RunError> {
-        let i = self.li(p.as_u32());
+    fn proc_step(&mut self, p: ProcId) -> Result<bool, RunError> {
+        let i = p.index();
         let state = &mut self.procs[i];
         if state.done || state.blocked || state.waiting_barrier.is_some() {
-            return Ok(Effect::None);
+            return Ok(false);
         }
         if let Some(spin) = state.spin {
             // The spin loop's own steps: issue the load, or look at its
@@ -778,13 +656,13 @@ impl Core {
             // result to the program.
             match state.last.take() {
                 None => {
-                    self.issue_op(p, MemOp::Load { addr: spin.addr }, io)?;
-                    return Ok(Effect::None);
+                    self.issue_op(p, MemOp::Load { addr: spin.addr })?;
+                    return Ok(false);
                 }
                 Some(r) if r.value() == Some(spin.value) => {
                     state.last_chain = None;
                     self.push_local(self.now + spin.pause, p.as_u32(), Event::ProcStep(p));
-                    return Ok(Effect::None);
+                    return Ok(false);
                 }
                 Some(r) => {
                     state.spin = None;
@@ -805,34 +683,34 @@ impl Core {
         match action {
             Action::Compute(cycles) => {
                 self.push_local(self.now + cycles, p.as_u32(), Event::ProcStep(p));
-                Ok(Effect::None)
+                Ok(false)
             }
             Action::SpinWhile { addr, value, pause } => {
                 self.procs[i].spin = Some(Spin { addr, value, pause });
                 self.push_local(self.now + pause, p.as_u32(), Event::ProcStep(p));
-                Ok(Effect::None)
+                Ok(false)
             }
             Action::Barrier(id) => {
                 self.procs[i].waiting_barrier = Some(id);
-                Ok(Effect::Arrived)
+                Ok(true)
             }
             Action::Done => {
                 self.procs[i].done = true;
                 self.active -= 1;
-                Ok(Effect::Finished)
+                Ok(true)
             }
             Action::Op(op) => {
-                self.issue_op(p, op, io)?;
-                Ok(Effect::None)
+                self.issue_op(p, op)?;
+                Ok(false)
             }
         }
     }
 
-    fn issue_op(&mut self, p: ProcId, op: MemOp, io: &mut impl ShardIo) -> Result<(), RunError> {
+    fn issue_op(&mut self, p: ProcId, op: MemOp) -> Result<(), RunError> {
         // One map lookup answers both "sync line?" and "which policy?".
         let sync_cfg = self.map.sync_config_for(op.addr());
         let is_sync = sync_cfg.is_some();
-        let i = self.li(p.as_u32());
+        let i = p.index();
         if is_sync {
             let seq = self.sync_seq[i];
             self.sync_seq[i] += 1;
@@ -845,7 +723,7 @@ impl Core {
             });
         }
         self.procs[i].current = Some((op, self.now, is_sync));
-        if let Some(tracer) = io.tracer() {
+        if let Some(tracer) = &mut self.tracer {
             let span = tracer.span_begin(
                 self.now,
                 p,
@@ -861,11 +739,11 @@ impl Core {
                 at: self.now,
                 error,
             })?;
-        self.route(&mut out, io);
+        self.route(&mut out);
         self.outbox = out;
         // Back to "no span": anything sent later (fault repair,
         // unrelated servicing) is not this operation's doing.
-        if let Some(tracer) = io.tracer() {
+        if let Some(tracer) = &mut self.tracer {
             tracer.set_span_ctx(0);
         }
         self.procs[i].blocked = true;
@@ -996,7 +874,7 @@ impl Core {
             return None;
         };
         self.parked -= 1;
-        let node = self.lo + i as u32;
+        let node = i as u32;
         let p = ProcId::new(node);
         let due = self.elided_time(&park, &spin, park.fired);
         let event = if park.fired % 3 == 0 {
@@ -1011,20 +889,15 @@ impl Core {
 
     /// Wakes every parked processor at `at`; returns the latest cycle
     /// at which one of their elided events fired (`Cycle::ZERO` if none).
-    pub(crate) fn unpark_all(&mut self, at: Cycle) -> Cycle {
+    fn unpark_all(&mut self, at: Cycle) -> Cycle {
         (0..self.procs.len())
             .filter_map(|i| self.unpark(i, at))
             .max()
             .unwrap_or(Cycle::ZERO)
     }
 
-    fn op_done(
-        &mut self,
-        p: ProcId,
-        outcome: OpOutcome,
-        io: &mut impl ShardIo,
-    ) -> Result<(), RunError> {
-        let i = self.li(p.as_u32());
+    fn op_done(&mut self, p: ProcId, outcome: OpOutcome) -> Result<(), RunError> {
+        let i = p.index();
         let Some((op, issued, is_sync)) = self.procs[i].current.take() else {
             return Err(RunError::Protocol {
                 at: self.now,
@@ -1066,7 +939,7 @@ impl Core {
             });
         }
         let span = std::mem::take(&mut self.procs[i].span);
-        if let Some(tracer) = io.tracer() {
+        if let Some(tracer) = &mut self.tracer {
             let outcome_label = match outcome.result {
                 OpResult::CasDone { success: false, .. } => "cas-fail",
                 OpResult::ScDone { success: false } => "sc-fail",
@@ -1134,21 +1007,22 @@ impl Core {
         Ok(())
     }
 
-    fn process(&mut self, msg: Box<Msg>, span: u64, io: &mut impl ShardIo) -> Result<(), RunError> {
-        let node = self.li(msg.dst.as_u32());
+    fn process(&mut self, msg: Box<Msg>, span: u64) -> Result<(), RunError> {
+        let node = msg.dst.index();
         let dst = msg.dst;
         let line = msg.line;
         let msg = self.recycle(msg);
         // Everything the handlers send below — forwards, invalidation
         // fan-out, replies — is on behalf of the operation that caused
         // this message, so those flows inherit its span.
-        if let Some(tracer) = io.tracer() {
+        if let Some(tracer) = &mut self.tracer {
             tracer.set_span_ctx(span);
         }
         // Coherence-state probes bracket the handler call; the flags are
         // false when tracing is off, so the probes cost nothing then.
-        let want_state = io.tracer().is_some_and(|t| t.wants(Category::State));
-        let want_queue = io.tracer().is_some_and(|t| t.wants(Category::Queue));
+        let tracer = self.tracer.as_deref();
+        let want_state = tracer.is_some_and(|t| t.wants(Category::State));
+        let want_queue = tracer.is_some_and(|t| t.wants(Category::Queue));
         let mut out = std::mem::replace(&mut self.outbox, Outbox::new());
         if msg.kind.home_bound() {
             let before = want_state.then(|| dir_label(self.homes[node].dir_state(line)));
@@ -1161,7 +1035,7 @@ impl Core {
             if let Some(before) = before {
                 let after = dir_label(self.homes[node].dir_state(line));
                 if after != before {
-                    if let Some(tracer) = io.tracer() {
+                    if let Some(tracer) = &mut self.tracer {
                         tracer.dir_transition(self.now, dst, line, before, after);
                     }
                 }
@@ -1169,11 +1043,11 @@ impl Core {
             if want_queue {
                 let depth =
                     (self.homes[node].queued_requests() + self.homes[node].busy_lines()) as u64;
-                if let Some(tracer) = io.tracer() {
+                if let Some(tracer) = &mut self.tracer {
                     tracer.queue_depth(self.now, dst, depth);
                 }
             }
-            self.route(&mut out, io);
+            self.route(&mut out);
         } else {
             // A message for this cache may change what a parked spin
             // reads: wake the spinner before handling it.
@@ -1192,22 +1066,22 @@ impl Core {
             if let Some(before) = before {
                 let after = cache_label(self.caches[node].cache_state(line));
                 if after != before {
-                    if let Some(tracer) = io.tracer() {
+                    if let Some(tracer) = &mut self.tracer {
                         tracer.cache_transition(self.now, dst, line, before, after);
                     }
                 }
             }
-            self.route(&mut out, io);
+            self.route(&mut out);
             if let Some(outcome) = completed {
                 let boxed = self.box_outcome(outcome);
                 self.push_local(self.now, proc.as_u32(), Event::OpDone(proc, boxed));
             }
         }
         self.outbox = out;
-        if let Some(tracer) = io.tracer() {
+        if let Some(tracer) = &mut self.tracer {
             tracer.set_span_ctx(0);
         }
-        if io.paranoid() {
+        if self.paranoid {
             if let Some(violation) = check_line(&self.caches, &self.homes, &self.map, line)
                 .into_iter()
                 .next()
@@ -1228,11 +1102,7 @@ impl Core {
     /// earliest event beyond the limit. Reproduce exactly that: put the
     /// popped event back, wake every spinner at the limit, drop the
     /// earliest event.
-    pub(crate) fn parked_limit(
-        &mut self,
-        limit: Cycle,
-        popped: Option<(Cycle, u128, Event)>,
-    ) -> RunError {
+    fn parked_limit(&mut self, limit: Cycle, popped: Option<(Cycle, u128, Event)>) -> RunError {
         if let Some((at, key, event)) = popped {
             self.events.push_keyed(at, key, event);
         }
@@ -1245,11 +1115,9 @@ impl Core {
         }
     }
 
-    /// Serial-path barrier scan: releases the barrier if every
-    /// non-terminated processor has arrived. Requires the full node
-    /// range (the PDES coordinator does the equivalent scan globally).
-    pub(crate) fn try_release_barrier(&mut self) {
-        debug_assert_eq!(self.lo, 0, "serial barrier scan needs the whole machine");
+    /// Releases the barrier if every non-terminated processor has
+    /// arrived at it.
+    fn try_release_barrier(&mut self) {
         let mut waiting = 0;
         let mut id: Option<u32> = None;
         for s in &self.procs {
@@ -1273,192 +1141,37 @@ impl Core {
         self.apply_barrier_release(self.now);
     }
 
-    /// Resumes every locally waiting processor at `at` (rank-3 keys, so
-    /// the releases sort after all other same-cycle work of the node).
-    /// Returns how many processors were resumed.
-    pub(crate) fn apply_barrier_release(&mut self, at: Cycle) -> usize {
-        let lo = self.lo;
-        let mut resumed = 0;
+    /// Resumes every waiting processor at `at` (rank-3 keys, so the
+    /// releases sort after all other same-cycle work of the node).
+    fn apply_barrier_release(&mut self, at: Cycle) {
         for (i, s) in self.procs.iter_mut().enumerate() {
             if !s.done && s.waiting_barrier.is_some() {
                 s.waiting_barrier = None;
-                let node = lo + i as u32;
+                let node = i as u32;
                 self.events
                     .push_keyed(at, key_barrier(node), Event::ProcStep(ProcId::new(node)));
-                resumed += 1;
             }
         }
-        resumed
     }
 
-    /// Count of locally waiting (non-done) processors.
-    pub(crate) fn waiting_count(&self) -> usize {
-        self.procs
-            .iter()
-            .filter(|s| !s.done && s.waiting_barrier.is_some())
-            .count()
-    }
-
-    /// `true` if any local processor has an operation outstanding.
-    pub(crate) fn any_outstanding(&self) -> bool {
+    /// `true` if any processor has an operation outstanding.
+    fn any_outstanding(&self) -> bool {
         self.procs.iter().any(|s| s.current.is_some())
     }
 
-    /// Snapshots every local processor's blocked-on state.
-    pub(crate) fn proc_dumps(&self) -> Vec<ProcDump> {
+    /// Snapshots every processor's blocked-on state.
+    fn proc_dumps(&self) -> Vec<ProcDump> {
         self.procs
             .iter()
             .enumerate()
             .map(|(i, s)| ProcDump {
-                proc: ProcId::new(self.lo + i as u32),
+                proc: ProcId::new(i as u32),
                 op: s.current.map(|(op, _, _)| op),
                 addr: s.current.map(|(op, _, _)| op.addr()),
                 issued: s.current.map(|(_, at, _)| at),
                 barrier: s.waiting_barrier,
             })
             .collect()
-    }
-
-    /// Splits a full-range core into per-shard cores for `bounds`,
-    /// leaving `self` an empty husk that [`Core::absorb`] refills.
-    /// Pending events are distributed by the node named in their key;
-    /// the sync log, recycling pools and the event counter go to shard
-    /// 0 (they are merged wholesale, not per node).
-    pub(crate) fn split_off(&mut self, bounds: &[(u32, u32)]) -> Vec<Core> {
-        assert_eq!(self.lo, 0, "only a whole machine can be split");
-        assert_eq!(self.hi, self.cfg.nodes, "only a whole machine can be split");
-        let ports = std::mem::replace(&mut self.ports, NetPorts::new_range(0, 0));
-        let mut port_shards = ports.split(bounds).into_iter();
-        let mut events = std::mem::replace(&mut self.events, EventQueue::new());
-        let mut per_shard: Vec<Vec<(Cycle, u128, Event)>> =
-            (0..bounds.len()).map(|_| Vec::new()).collect();
-        while let Some((at, key, e)) = events.pop_keyed() {
-            per_shard[shard_of(bounds, key_node(key))].push((at, key, e));
-        }
-        let mut out = Vec::with_capacity(bounds.len());
-        for (si, &(lo, count)) in bounds.iter().enumerate() {
-            let n = count as usize;
-            let mut q = EventQueue::with_capacity(n * 8);
-            for (at, key, e) in per_shard[si].drain(..) {
-                q.push_keyed(at, key, e);
-            }
-            let procs: Vec<ProcState> = self.procs.drain(..n).collect();
-            let active = procs.iter().filter(|s| !s.done).count();
-            out.push(Core {
-                lo,
-                hi: lo + count,
-                cfg: self.cfg.clone(),
-                map: self.map.clone(),
-                mesh: self.mesh.clone(),
-                now: self.now,
-                events: q,
-                ports: port_shards.next().expect("one port shard per bound"),
-                homes: self.homes.drain(..n).collect(),
-                caches: self.caches.drain(..n).collect(),
-                procs,
-                mem_busy: self.mem_busy.drain(..n).collect(),
-                cache_busy: self.cache_busy.drain(..n).collect(),
-                nstats: self.nstats.drain(..n).collect(),
-                sync_log: if si == 0 {
-                    std::mem::take(&mut self.sync_log)
-                } else {
-                    Vec::new()
-                },
-                local_seq: self.local_seq.drain(..n).collect(),
-                sync_seq: self.sync_seq.drain(..n).collect(),
-                active,
-                events_processed: if si == 0 { self.events_processed } else { 0 },
-                last_retire: self.last_retire,
-                outbox: if si == 0 {
-                    std::mem::replace(&mut self.outbox, Outbox::new())
-                } else {
-                    Outbox::new()
-                },
-                msg_pool: if si == 0 {
-                    std::mem::take(&mut self.msg_pool)
-                } else {
-                    Vec::new()
-                },
-                outcome_pool: if si == 0 {
-                    std::mem::take(&mut self.outcome_pool)
-                } else {
-                    Vec::new()
-                },
-                park_bound: None,
-                parked: 0,
-                elided: 0,
-            });
-        }
-        self.active = 0;
-        self.events_processed = 0;
-        out
-    }
-
-    /// Reassembles shard cores (in node order) into this husk.
-    pub(crate) fn absorb(&mut self, parts: Vec<Core>) {
-        let mut ports = Vec::with_capacity(parts.len());
-        for (si, mut p) in parts.into_iter().enumerate() {
-            assert_eq!(
-                p.lo,
-                self.homes.len() as u32,
-                "shards must be absorbed in node order"
-            );
-            self.now = self.now.max(p.now);
-            while let Some((at, key, e)) = p.events.pop_keyed() {
-                self.events.push_keyed(at, key, e);
-            }
-            ports.push(std::mem::replace(&mut p.ports, NetPorts::new_range(0, 0)));
-            self.homes.append(&mut p.homes);
-            self.caches.append(&mut p.caches);
-            self.procs.append(&mut p.procs);
-            self.mem_busy.append(&mut p.mem_busy);
-            self.cache_busy.append(&mut p.cache_busy);
-            self.nstats.append(&mut p.nstats);
-            self.sync_log.append(&mut p.sync_log);
-            self.local_seq.append(&mut p.local_seq);
-            self.sync_seq.append(&mut p.sync_seq);
-            self.active += p.active;
-            self.events_processed += p.events_processed;
-            self.last_retire = self.last_retire.max(p.last_retire);
-            if si == 0 {
-                self.outbox = std::mem::replace(&mut p.outbox, Outbox::new());
-                self.msg_pool = std::mem::take(&mut p.msg_pool);
-                self.outcome_pool = std::mem::take(&mut p.outcome_pool);
-            }
-        }
-        self.hi = self.homes.len() as u32;
-        self.ports = NetPorts::merge(ports);
-    }
-}
-
-/// [`ShardIo`] for the serial engine: borrows the machine's
-/// instrumentation (all of which forces the serial path, so the
-/// parallel dispatcher never sees any of it).
-struct SerialIo<'a> {
-    tracer: Option<&'a mut Tracer>,
-    ring: Option<&'a mut TraceRing>,
-    injector: Option<&'a mut FaultInjector>,
-    paranoid: bool,
-}
-
-impl ShardIo for SerialIo<'_> {
-    fn jitter(&mut self, now: Cycle) -> u64 {
-        match &mut self.injector {
-            Some(inj) => inj.jitter(now.as_u64()),
-            None => 0,
-        }
-    }
-    fn tracer(&mut self) -> Option<&mut Tracer> {
-        self.tracer.as_deref_mut()
-    }
-    fn ring(&mut self) -> Option<&mut TraceRing> {
-        self.ring.as_deref_mut()
-    }
-    fn paranoid(&self) -> bool {
-        self.paranoid
-    }
-    fn send_remote(&mut self, _wire_at: Cycle, _key: u128, _msg: Msg) {
-        unreachable!("the serial core owns every node; no message is remote")
     }
 }
 
@@ -1492,7 +1205,6 @@ pub struct MachineBuilder {
     init: Vec<(Addr, Value)>,
     llsc_pool: usize,
     trace: Option<TraceSpec>,
-    workers: Option<usize>,
     /// `DSM_PROTO` carried an `hna` clause: flip every registered
     /// INV-policy sync line to home-node atomics at build time.
     hna: bool,
@@ -1560,7 +1272,6 @@ impl MachineBuilder {
             init: Vec::new(),
             llsc_pool: 256,
             trace: None,
-            workers: None,
             hna,
         }
     }
@@ -1571,16 +1282,6 @@ impl MachineBuilder {
     /// variable.
     pub fn with_trace(&mut self, spec: TraceSpec) -> &mut Self {
         self.trace = Some(spec);
-        self
-    }
-
-    /// Sets how many PDES worker threads the machine may use for a
-    /// single run (see [`Machine::set_workers`]). An explicit setting
-    /// takes precedence over the `DSM_WORKERS` environment variable;
-    /// the default is 1 (serial). Results are bit-identical across
-    /// worker counts.
-    pub fn with_workers(&mut self, workers: usize) -> &mut Self {
-        self.workers = Some(workers.max(1));
         self
     }
 
@@ -1621,16 +1322,12 @@ impl MachineBuilder {
     /// over both (reproducer replay relies on this).
     /// Likewise, when no trace spec was set with
     /// [`with_trace`](MachineBuilder::with_trace), `DSM_TRACE` (a
-    /// [`TraceSpec::from_spec`] string) enables tracing, and when no
-    /// worker count was set with
-    /// [`with_workers`](MachineBuilder::with_workers), `DSM_WORKERS`
-    /// sets the PDES worker count.
+    /// [`TraceSpec::from_spec`] string) enables tracing.
     ///
     /// # Panics
     ///
     /// Panics if the number of programs does not equal the number of
-    /// nodes, or if `DSM_FAULTS` / `DSM_TRACE` / `DSM_WORKERS` holds a
-    /// malformed spec.
+    /// nodes, or if `DSM_FAULTS` / `DSM_TRACE` holds a malformed spec.
     pub fn build(mut self) -> Machine {
         assert_eq!(
             self.programs.len(),
@@ -1660,18 +1357,6 @@ impl MachineBuilder {
                 TraceSpec::from_spec(&spec)
                     .unwrap_or_else(|e| panic!("invalid DSM_TRACE spec: {e}"))
             })
-        });
-        let workers = self.workers.unwrap_or_else(|| {
-            std::env::var("DSM_WORKERS")
-                .ok()
-                .map(|v| {
-                    v.trim()
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|&n| n > 0)
-                        .unwrap_or_else(|| panic!("invalid DSM_WORKERS value: {v:?}"))
-                })
-                .unwrap_or(1)
         });
         let tracer = trace_spec.map(|spec| Box::new(Tracer::new(&spec, self.cfg.nodes)));
         let mesh = Mesh::new(&self.cfg);
@@ -1722,8 +1407,6 @@ impl MachineBuilder {
         }
         let nodes = self.cfg.nodes;
         let core = Core {
-            lo: 0,
-            hi: nodes,
             map: self.map,
             mesh,
             now: Cycle::ZERO,
@@ -1747,15 +1430,15 @@ impl MachineBuilder {
             park_bound: None,
             parked: 0,
             elided: 0,
+            tracer,
+            ring: None,
+            injector,
+            paranoid: faults.paranoid,
             cfg: self.cfg,
         };
         let mut machine = Machine {
             core,
-            trace: None,
-            tracer,
             trace_files: Vec::new(),
-            injector,
-            paranoid: faults.paranoid,
             watchdog: faults.watchdog,
             injected_evictions: 0,
             injected_wipes: 0,
@@ -1766,7 +1449,6 @@ impl MachineBuilder {
                 .filter(|&ms| ms > 0)
                 .map(Duration::from_millis),
             paused: false,
-            workers,
         };
         for (addr, value) in self.init {
             machine.poke_word(addr, value);
@@ -1784,21 +1466,10 @@ impl MachineBuilder {
 ///
 /// Construct with [`MachineBuilder`], then [`run`](Machine::run).
 pub struct Machine {
-    /// The shardable engine state (full range while not running in
-    /// parallel).
-    pub(crate) core: Core,
-    /// Optional message-trace ring buffer (debugging aid).
-    trace: Option<TraceRing>,
-    /// Structured event tracer (`--trace` / `DSM_TRACE`), boxed so the
-    /// disabled case costs one pointer in the machine and one
-    /// never-taken branch per instrumentation site.
-    tracer: Option<Box<Tracer>>,
+    /// The engine state and dispatcher.
+    core: Core,
     /// Paths written by the last trace flush.
     trace_files: Vec<PathBuf>,
-    /// Deterministic fault injector, present only when faults are on.
-    injector: Option<FaultInjector>,
-    /// Run the invariant checker after every protocol transition.
-    paranoid: bool,
     /// Livelock watchdog window in cycles (0 = off).
     watchdog: u64,
     /// Evictions forced by the fault injector.
@@ -1812,8 +1483,6 @@ pub struct Machine {
     /// `true` between a stop-rule pause and the resuming call, so the
     /// resume does not reset watchdog bookkeeping.
     paused: bool,
-    /// Requested PDES worker count (1 = serial).
-    workers: usize,
 }
 
 impl Machine {
@@ -1828,8 +1497,7 @@ impl Machine {
     }
 
     /// Accumulated statistics, merged from the per-node accumulators in
-    /// canonical node order (so the result is bit-identical regardless
-    /// of how many PDES workers produced them).
+    /// node order, with the sync log replayed in canonical order.
     pub fn stats(&self) -> MachineStats {
         merge_node_stats(&self.core.nstats, &self.core.sync_log)
     }
@@ -1839,44 +1507,20 @@ impl Machine {
         self.core.ports.stats()
     }
 
-    /// How many PDES worker threads [`run`](Machine::run) may use.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Sets how many PDES worker threads [`run`](Machine::run) may use
-    /// (1 = serial). The effective count is clamped to the node count,
-    /// and serial-only features (tracing, fault injection, paranoid
-    /// checking, the livelock watchdog, the debug ring, stop rules)
-    /// force the serial engine regardless — the parallel engine's
-    /// results are bit-identical, so this only affects wall-clock time.
-    pub fn set_workers(&mut self, workers: usize) {
-        self.workers = workers.max(1);
-    }
-
-    /// `true` when a run under `stop` needs the literal serial engine:
-    /// serial-only instrumentation (tracer, fault injector, paranoid
+    /// `true` when a run under `stop` must dispatch every event
+    /// literally: instrumentation (tracer, fault injector, paranoid
     /// checking, watchdog, debug ring) or a stop rule is active.
     fn instrumented(&self, stop: StopRule) -> bool {
-        self.tracer.is_some()
-            || self.injector.is_some()
-            || self.paranoid
+        self.core.tracer.is_some()
+            || self.core.injector.is_some()
+            || self.core.paranoid
             || self.watchdog > 0
-            || self.trace.is_some()
+            || self.core.ring.is_some()
             || !matches!(stop, StopRule::None)
     }
 
-    /// The worker count a run would actually use under `stop`:
-    /// serial-only instrumentation and stop rules override the setting.
-    fn effective_workers(&self, stop: StopRule) -> usize {
-        if self.workers <= 1 || self.instrumented(stop) || self.core.active == 0 {
-            return 1;
-        }
-        self.workers.min(self.core.cfg.nodes as usize)
-    }
-
     /// The longest spin pause a run may park, or `None` when the run
-    /// must dispatch every spin iteration. Only the plain serial engine
+    /// must dispatch every spin iteration. Only an uninstrumented run
     /// parks, and only when spinner events are provably the last of
     /// their node in their cycle: every spinner event fires `d` cycles
     /// after it is queued (`d` one of the pause, `cache_hit`, `issue`),
@@ -1884,11 +1528,11 @@ impl Machine {
     /// arrives, and with `flit_cycle >= 1` no message arrives in the
     /// cycle it is sent. So `d <= bound` leaves no later message
     /// processing in a spinner event's cycle.
-    fn park_bound(&self, stop: StopRule, workers: usize) -> Option<u64> {
+    fn park_bound(&self, stop: StopRule) -> Option<u64> {
         let p = &self.core.cfg.params;
         let bound = p.cache_ctrl.min(p.dir_access + p.mem_access);
         let exact = p.flit_cycle >= 1 && p.cache_hit <= bound && p.issue <= bound;
-        (exact && workers == 1 && !self.instrumented(stop)).then_some(bound)
+        (exact && !self.instrumented(stop)).then_some(bound)
     }
 
     /// Writes a word directly into its home memory (initialization /
@@ -1914,9 +1558,7 @@ impl Machine {
         self.core.homes[home.index()].peek_word(addr)
     }
 
-    /// Runs until every processor terminates or `limit` is reached,
-    /// using the configured worker count (see
-    /// [`set_workers`](Machine::set_workers)).
+    /// Runs until every processor terminates or `limit` is reached.
     ///
     /// # Errors
     ///
@@ -1947,14 +1589,8 @@ impl Machine {
     /// ([`set_wall_limit`](Machine::set_wall_limit) or `DSM_WALL_LIMIT`)
     /// elapses before the run finishes or pauses.
     pub fn run_until(&mut self, limit: Cycle, stop: StopRule) -> Result<RunOutcome, RunError> {
-        let workers = self.effective_workers(stop);
-        self.core.park_bound = self.park_bound(stop, workers);
-        let result = if workers > 1 {
-            crate::pdes::run_parallel(&mut self.core, limit, workers, self.wall_limit)
-                .map(RunOutcome::Done)
-        } else {
-            self.run_inner(limit, stop)
-        };
+        self.core.park_bound = self.park_bound(stop);
+        let result = self.run_inner(limit, stop);
         // A failed run may leave spinners parked; put the machine back
         // in the literal state.
         self.core.unpark_all(self.core.now);
@@ -2001,18 +1637,6 @@ impl Machine {
         Ok(())
     }
 
-    /// Dispatches one event on the serial path, with the machine's
-    /// instrumentation wired in.
-    fn dispatch_serial(&mut self, key: u128, event: Event) -> Result<Effect, RunError> {
-        let mut io = SerialIo {
-            tracer: self.tracer.as_deref_mut(),
-            ring: self.trace.as_mut(),
-            injector: self.injector.as_mut(),
-            paranoid: self.paranoid,
-        };
-        self.core.dispatch(key, event, &mut io)
-    }
-
     fn run_inner(&mut self, limit: Cycle, stop: StopRule) -> Result<RunOutcome, RunError> {
         let started = Instant::now();
         if !self.paused {
@@ -2045,7 +1669,7 @@ impl Machine {
             self.poll_faults();
             self.check_watchdog()?;
             self.check_wall(started)?;
-            if self.dispatch_serial(key, event)? != Effect::None {
+            if self.core.dispatch(key, event)? {
                 self.core.try_release_barrier();
             }
             if self.should_pause(stop) {
@@ -2067,7 +1691,7 @@ impl Machine {
             self.core.now = at;
             self.core.events_processed += 1;
             self.check_wall(started)?;
-            self.dispatch_serial(key, event)?;
+            self.core.dispatch(key, event)?;
             if self.should_pause(stop) {
                 self.paused = true;
                 return Ok(RunOutcome::Paused(RunReport {
@@ -2076,7 +1700,7 @@ impl Machine {
                 }));
             }
         }
-        if self.paranoid {
+        if self.core.paranoid {
             self.quiescence_check(finished)?;
         }
         Ok(RunOutcome::Done(RunReport {
@@ -2095,7 +1719,7 @@ impl Machine {
 
     /// Applies the window faults due at the current time, if any.
     fn poll_faults(&mut self) {
-        let fired = match &mut self.injector {
+        let fired = match &mut self.core.injector {
             Some(inj) => inj.poll(self.core.now.as_u64(), self.core.cfg.nodes),
             None => return,
         };
@@ -2109,19 +1733,13 @@ impl Machine {
                     {
                         self.injected_evictions += 1;
                     }
-                    let mut io = SerialIo {
-                        tracer: self.tracer.as_deref_mut(),
-                        ring: self.trace.as_mut(),
-                        injector: self.injector.as_mut(),
-                        paranoid: self.paranoid,
-                    };
-                    self.core.route(&mut out, &mut io);
+                    self.core.route(&mut out);
                     self.core.outbox = out;
                 }
                 FaultEvent::WipeReservations { node } => {
                     self.core.homes[node.index()].wipe_reservations();
                     self.injected_wipes += 1;
-                    if let Some(tracer) = &mut self.tracer {
+                    if let Some(tracer) = &mut self.core.tracer {
                         if tracer.wants(Category::Resv) {
                             tracer.reservation(self.core.now, node, "wipe");
                         }
@@ -2130,8 +1748,8 @@ impl Machine {
                 FaultEvent::CorruptLine { node } => {
                     // Promote the first shared resident line (stable
                     // iteration order, so replays corrupt the same
-                    // line). A cache with no shared line absorbs the
-                    // fault silently.
+                    // line). A cache with no shared line leaves the
+                    // fault without effect.
                     let victim = self.core.caches[node.index()]
                         .cached_lines()
                         .find(|(_, s)| *s == CacheState::Shared)
@@ -2236,7 +1854,7 @@ impl Machine {
     /// The fault schedule applied so far (`None` when faults are off) —
     /// the raw material of reproducer shrinking.
     pub fn fault_record(&self) -> Option<&FaultRecord> {
-        self.injector.as_ref().map(FaultInjector::record)
+        self.core.injector.as_ref().map(FaultInjector::record)
     }
 
     /// The *effective* fault configuration this machine was built with:
@@ -2254,7 +1872,7 @@ impl Machine {
     /// Install before running — mid-run installation is sound (queries
     /// are monotone) but makes the run depend on when the call happened.
     pub fn set_fault_filter(&mut self, filter: Option<FaultFilter>) {
-        if let Some(inj) = &mut self.injector {
+        if let Some(inj) = &mut self.core.injector {
             inj.set_filter(filter);
         }
     }
@@ -2285,9 +1903,7 @@ impl Machine {
     ///
     /// Two machines built from the same configuration that have
     /// dispatched the same event sequence produce equal digests; any
-    /// divergence in simulated state changes the digest — and a
-    /// parallel run's post-run digest equals the serial run's, because
-    /// the merged statistics and event keys are canonical.
+    /// divergence in simulated state changes the digest.
     /// Diagnostic-only state (tracers, recycling pools) is excluded —
     /// it cannot influence simulation results.
     pub fn state_digest(&self) -> u64 {
@@ -2388,7 +2004,7 @@ impl Machine {
         h.write_u64(self.injected_evictions);
         h.write_u64(self.injected_wipes);
         h.write_u64(self.injected_corruptions);
-        match &self.injector {
+        match &self.core.injector {
             Some(inj) => {
                 h.write_u8(1);
                 inj.digest(&mut h);
@@ -2415,9 +2031,10 @@ impl Machine {
 
     /// Enables a message-trace ring buffer holding the last `capacity`
     /// sends, each formatted as `time src->dst line kind`. Useful when
-    /// debugging protocol behaviour in tests. Forces the serial engine.
+    /// debugging protocol behaviour in tests. Turns spin-wait elision
+    /// off, so every send is recorded.
     pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = Some((
+        self.core.ring = Some((
             capacity,
             std::collections::VecDeque::with_capacity(capacity),
         ));
@@ -2426,7 +2043,8 @@ impl Machine {
     /// The trace entries recorded so far (oldest first); empty unless
     /// [`enable_trace`](Machine::enable_trace) was called.
     pub fn trace(&self) -> impl Iterator<Item = &str> {
-        self.trace
+        self.core
+            .ring
             .iter()
             .flat_map(|(_, q)| q.iter().map(String::as_str))
     }
@@ -2434,13 +2052,13 @@ impl Machine {
     /// The structured event tracer, if tracing is enabled (via
     /// [`MachineBuilder::with_trace`] or `DSM_TRACE`).
     pub fn tracer(&self) -> Option<&Tracer> {
-        self.tracer.as_deref()
+        self.core.tracer.as_deref()
     }
 
     /// Mutable access to the tracer, e.g. to attach a custom
     /// [`TraceSink`](dsm_trace::TraceSink) before running.
     pub fn tracer_mut(&mut self) -> Option<&mut Tracer> {
-        self.tracer.as_deref_mut()
+        self.core.tracer.as_deref_mut()
     }
 
     /// Attaches a tracer to an already-built machine, replacing any
@@ -2449,7 +2067,7 @@ impl Machine {
     /// hook; attach before [`run`](Machine::run) or the trace will miss
     /// everything already simulated.
     pub fn attach_tracer(&mut self, spec: &TraceSpec) {
-        self.tracer = Some(Box::new(Tracer::new(spec, self.core.cfg.nodes)));
+        self.core.tracer = Some(Box::new(Tracer::new(spec, self.core.cfg.nodes)));
     }
 
     /// Writes the attached trace sinks to disk (no-op when tracing is
@@ -2461,7 +2079,7 @@ impl Machine {
     ///
     /// Propagates I/O errors from writing the trace files.
     pub fn flush_trace(&mut self) -> std::io::Result<Vec<PathBuf>> {
-        let Some(tracer) = &self.tracer else {
+        let Some(tracer) = &self.core.tracer else {
             return Ok(Vec::new());
         };
         let paths = tracer.finish(self.core.cfg.seed)?;

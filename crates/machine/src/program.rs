@@ -22,7 +22,7 @@ pub enum Action {
     /// `loop { Compute(pause); r = Load(addr); if r.value != value { break } }`,
     /// with the exiting load's result delivered in [`ProcCtx::last`].
     /// The engine runs the loop itself, so the program is not stepped
-    /// while it spins, and the plain serial engine may skip iterations
+    /// while it spins, and an uninstrumented run may skip iterations
     /// that provably read an unchanged cached value (see
     /// ARCHITECTURE.md, "Spin-wait elision").
     SpinWhile {
@@ -78,9 +78,8 @@ impl ProcCtx<'_> {
 /// observes the result of the previous action (via [`ProcCtx::last`])
 /// and yields the next action. Shared results are best communicated to
 /// the experiment driver through `Arc<Mutex<...>>` handles captured by
-/// the program when it is built (programs must be `Send`: a
-/// partitioned machine steps each processor on its owning worker
-/// thread).
+/// the program when it is built (programs must be `Send`: the
+/// experiment runner builds and runs machines on its worker threads).
 pub trait Program: Send {
     /// Produces the next action. Called once at start (with
     /// `ctx.last == None`) and again after each action completes.

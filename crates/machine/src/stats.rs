@@ -72,12 +72,11 @@ impl MachineStats {
 /// Per-node statistics accumulator.
 ///
 /// The machine accumulates every sample into the stats of the node that
-/// produced it, in that node's own event order — an order that is
-/// identical whether the run used one worker or many. Global
+/// produced it, in that node's own event order. Global
 /// [`MachineStats`] are produced on demand by merging node accumulators
 /// in node order ([`merge_node_stats`]), so floating-point sums (the
-/// `OnlineMean`s) see a canonical addition order and the merged result
-/// is bit-identical across worker counts.
+/// `OnlineMean`s) see a fixed addition order, the one the committed
+/// artifacts were generated under.
 #[derive(Debug, Default, Clone)]
 pub(crate) struct NodeStats {
     pub msgs: ChainStats,
@@ -98,8 +97,8 @@ pub(crate) struct NodeStats {
 /// Instead every begin/end is logged with its canonical coordinates
 /// `(cycle, proc, per-proc sequence)`, and the trackers replay the log
 /// in sorted coordinate order when statistics are read
-/// ([`merge_node_stats`]). Both the serial and the PDES engines log
-/// identically, so the replayed histograms are identical too.
+/// ([`merge_node_stats`]). The committed artifacts' contention and
+/// write-run histograms come from this replay order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct SyncRec {
     pub at: u64,

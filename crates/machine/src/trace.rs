@@ -18,8 +18,8 @@ use std::sync::{Arc, Mutex};
 /// A shared, growable recording of one processor's action stream.
 ///
 /// Backed by `Arc<Mutex<..>>` (not `Rc<RefCell<..>>`) because programs
-/// must be `Send`: a partitioned machine (`DSM_WORKERS`) steps each
-/// processor on its owning worker thread.
+/// must be `Send`: the experiment runner builds and runs machines on
+/// its worker threads.
 pub type Trace = Arc<Mutex<Vec<Action>>>;
 
 /// Creates an empty trace.

@@ -16,36 +16,6 @@
 use crate::topology::Mesh;
 use dsm_sim::{Cycle, NodeId, SimParams};
 
-/// The conservative PDES lookahead of this network model: a lower
-/// bound, in cycles, on `wire_arrival - send_time` for any message
-/// between **distinct** nodes at least `min_hops` apart.
-///
-/// Every remote message pays `hops * hop_delay` of router latency plus
-/// `flits * flit_cycle` of pipelined wormhole occupancy, with at least
-/// the control-message flit count ([`SimParams::flits_for_payload`]
-/// of a zero-byte payload). Entry-port contention and fault-injected
-/// jitter only *delay* departures, so they can only increase the bound
-/// — which is what makes it safe for a partitioned simulation: a
-/// logical process whose local clock has reached cycle `t` cannot
-/// receive any network effect earlier than `t + pair_lookahead(..)`
-/// from a peer whose clock has also reached `t`.
-///
-/// The result is clamped to at least 1 so degenerate parameter sets
-/// still yield a usable (if tiny) window.
-pub fn pair_lookahead(params: &SimParams, min_hops: u32) -> u64 {
-    let min_flits = params.flits_for_payload(0);
-    (u64::from(min_hops) * params.hop_delay + min_flits * params.flit_cycle).max(1)
-}
-
-/// [`pair_lookahead`] for adjacent partitions (one hop): a safe
-/// (if pessimistic) uniform lookahead for any partitioning. The PDES
-/// scheduler computes the actual minimum cross-partition hop distance
-/// and calls [`pair_lookahead`] directly; this is the floor it can
-/// never go below.
-pub fn min_remote_lookahead(params: &SimParams) -> u64 {
-    pair_lookahead(params, 1)
-}
-
 /// Aggregate counters maintained by [`LatencyNetwork`] / [`NetPorts`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NetworkStats {
@@ -86,10 +56,9 @@ impl NetworkStats {
     }
 }
 
-/// Split-phase network port state for a contiguous range of nodes.
+/// Split-phase network port state for every node.
 ///
-/// This is the shardable core of the network model. A message send is
-/// two phases, each touching only one node's ports:
+/// A message send is two phases, each touching only one node's ports:
 ///
 /// 1. [`launch`](NetPorts::launch) at the **source** — contends for the
 ///    source's entry port and computes the *wire arrival* time at the
@@ -99,44 +68,36 @@ impl NetworkStats {
 ///    simulated time reaches the wire arrival — contends for the
 ///    destination's exit port and yields the delivery time.
 ///
-/// Because phase 1 reads/writes only source-side state and phase 2 only
-/// destination-side state, a partitioned (PDES) machine can run the two
-/// phases on different worker threads with no shared mutable state: the
-/// wire arrival travels with the message. Per-pair FIFO needs no
-/// explicit watermark for remote traffic — entry-port occupancy makes
-/// successive wire arrivals on a pair strictly increasing, and exit-port
-/// occupancy preserves that order through ejection. Local (`src == dst`)
-/// messages bypass both ports; their wire time is clamped against a
-/// per-node watermark because fault-injected jitter (serial runs only)
-/// can otherwise reorder them.
-///
-/// Statistics accumulate in whichever shard performed the phase; the
-/// counters are sums, so merging shards reproduces the serial totals
-/// exactly.
+/// The machine simulator queues a message between the two phases (its
+/// `Wire` event), so the exit port sees arrivals in simulated-time
+/// order. Per-pair FIFO needs no explicit watermark for remote traffic
+/// — entry-port occupancy makes successive wire arrivals on a pair
+/// strictly increasing, and exit-port occupancy preserves that order
+/// through ejection. Local (`src == dst`) messages bypass both ports;
+/// their wire time is clamped against a per-node watermark because
+/// fault-injected jitter can otherwise reorder them. With
+/// `flit_cycle >= 1` no message, local or remote, arrives in the cycle
+/// it was sent; the machine's spin-wait elision relies on that.
 #[derive(Debug, Clone)]
 pub struct NetPorts {
-    /// First node this shard owns.
-    lo: u32,
-    /// Time at which each owned node's injection port becomes free.
+    /// Time at which each node's injection port becomes free.
     entry_free: Vec<Cycle>,
-    /// Time at which each owned node's ejection port becomes free.
+    /// Time at which each node's ejection port becomes free.
     exit_free: Vec<Cycle>,
-    /// Wire-time watermark for each owned node's *local* (self) pair.
+    /// Wire-time watermark for each node's *local* (self) pair.
     last_wire: Vec<Cycle>,
-    /// Per-owned-source launch counter; stamps each message with a
-    /// sequence number that is unique per source and canonical (it
-    /// follows the source node's event order, which is identical across
-    /// worker counts).
+    /// Per-source launch counter; stamps each message with a sequence
+    /// number that is unique per source and follows the source node's
+    /// event order.
     launch_seq: Vec<u64>,
     stats: NetworkStats,
 }
 
 impl NetPorts {
-    /// Creates quiescent port state for nodes `lo..lo + count`.
-    pub fn new_range(lo: u32, count: u32) -> Self {
+    /// Creates quiescent port state covering all `count` nodes.
+    pub fn new(count: u32) -> Self {
         let n = count as usize;
         NetPorts {
-            lo,
             entry_free: vec![Cycle::ZERO; n],
             exit_free: vec![Cycle::ZERO; n],
             last_wire: vec![Cycle::ZERO; n],
@@ -145,16 +106,7 @@ impl NetPorts {
         }
     }
 
-    /// Creates quiescent port state covering all `count` nodes.
-    pub fn new(count: u32) -> Self {
-        Self::new_range(0, count)
-    }
-
-    fn idx(&self, node: NodeId) -> usize {
-        (node.as_u32() - self.lo) as usize
-    }
-
-    /// Returns the accumulated statistics of this shard.
+    /// Returns the accumulated statistics.
     pub fn stats(&self) -> &NetworkStats {
         &self.stats
     }
@@ -166,7 +118,7 @@ impl NetPorts {
 
     /// Phase 1: injects a `flits`-flit message at `src` at time `now`,
     /// optionally held `extra` cycles by fault injection, and returns
-    /// `(wire_arrival, launch_seq)`. `src` must be owned by this shard.
+    /// `(wire_arrival, launch_seq)`.
     ///
     /// # Panics
     ///
@@ -183,7 +135,7 @@ impl NetPorts {
         extra: u64,
     ) -> (Cycle, u64) {
         assert!(flits > 0, "a message must carry at least one flit");
-        let si = self.idx(src);
+        let si = src.index();
         let seq = self.launch_seq[si];
         self.launch_seq[si] += 1;
         self.stats.messages += 1;
@@ -218,8 +170,7 @@ impl NetPorts {
         // Wire: pipelined wormhole — head flit takes hop_delay per hop,
         // the tail follows `flits` flit-times behind. Crossing a NUMA
         // cluster boundary adds the configured penalty (0 on the
-        // paper's flat machine). The penalty only *increases* latency,
-        // so the PDES lookahead bound remains conservative.
+        // paper's flat machine).
         let hops = mesh.hops(src, dst) as u64;
         let numa = if mesh.same_cluster(src, dst) {
             0
@@ -232,8 +183,8 @@ impl NetPorts {
     }
 
     /// Phase 2: ejects a message whose head reached `dst` at
-    /// `wire_arrival` and returns its delivery time. `dst` must be
-    /// owned by this shard. Local messages bypass the exit port.
+    /// `wire_arrival` and returns its delivery time. Local messages
+    /// bypass the exit port.
     pub fn eject(
         &mut self,
         params: &SimParams,
@@ -245,7 +196,7 @@ impl NetPorts {
         if src == dst {
             return wire_arrival;
         }
-        let di = self.idx(dst);
+        let di = dst.index();
         let occupancy = flits * params.flit_cycle;
         let exit = &mut self.exit_free[di];
         let delivered = wire_arrival.max(*exit);
@@ -255,67 +206,9 @@ impl NetPorts {
         delivered
     }
 
-    /// Splits full-range port state into per-shard states for the node
-    /// ranges `(lo, count)` in `bounds`. Accumulated statistics move to
-    /// the first shard (they are sums; [`NetPorts::merge`] restores the
-    /// total).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bounds` is not a partition of this range in order.
-    pub fn split(mut self, bounds: &[(u32, u32)]) -> Vec<NetPorts> {
-        let mut out = Vec::with_capacity(bounds.len());
-        let mut expect = self.lo;
-        for (i, &(lo, count)) in bounds.iter().enumerate() {
-            assert_eq!(lo, expect, "bounds must partition the range in order");
-            expect = lo + count;
-            let n = count as usize;
-            out.push(NetPorts {
-                lo,
-                entry_free: self.entry_free.drain(..n).collect(),
-                exit_free: self.exit_free.drain(..n).collect(),
-                last_wire: self.last_wire.drain(..n).collect(),
-                launch_seq: self.launch_seq.drain(..n).collect(),
-                stats: if i == 0 {
-                    std::mem::take(&mut self.stats)
-                } else {
-                    NetworkStats::default()
-                },
-            });
-        }
-        assert!(self.entry_free.is_empty(), "bounds must cover the range");
-        out
-    }
-
-    /// Reassembles shard port states (in node order) into one range,
-    /// summing statistics.
-    pub fn merge(parts: Vec<NetPorts>) -> NetPorts {
-        let mut it = parts.into_iter();
-        let mut whole = it.next().expect("at least one shard");
-        for p in it {
-            assert_eq!(
-                p.lo,
-                whole.lo + whole.entry_free.len() as u32,
-                "shards must be contiguous"
-            );
-            whole.entry_free.extend(p.entry_free);
-            whole.exit_free.extend(p.exit_free);
-            whole.last_wire.extend(p.last_wire);
-            whole.launch_seq.extend(p.launch_seq);
-            whole.stats.messages += p.stats.messages;
-            whole.stats.flits += p.stats.flits;
-            whole.stats.entry_wait += p.stats.entry_wait;
-            whole.stats.exit_wait += p.stats.exit_wait;
-            whole.stats.total_latency += p.stats.total_latency;
-            whole.stats.injected_delay += p.stats.injected_delay;
-        }
-        whole
-    }
-
     /// Folds the dynamic port state and statistics into a checkpoint
     /// digest.
     pub fn digest(&self, h: &mut dsm_sim::StableHasher) {
-        h.write_u64(u64::from(self.lo));
         h.write_usize(self.entry_free.len());
         for c in &self.entry_free {
             h.write_u64(c.as_u64());
@@ -361,8 +254,8 @@ pub fn base_latency(
 /// the caller processes events in time order, every call observes all
 /// earlier traffic, and the computed times are deterministic. This is a
 /// convenience facade over [`NetPorts`] that fuses the launch and eject
-/// phases — the machine simulator itself drives `NetPorts` directly so
-/// the two phases can run on different PDES workers.
+/// phases — the machine simulator itself drives `NetPorts` directly and
+/// queues each message between the two phases.
 ///
 /// # Example
 ///
@@ -572,50 +465,58 @@ mod tests {
         assert_eq!(b.stats().injected_delay, 0);
     }
 
+    /// Spin-wait elision in the machine assumes that with
+    /// `flit_cycle >= 1` no message reaches its destination in the
+    /// cycle it is sent. Check every kind of launch: local, remote,
+    /// jittered and across a cluster boundary, under a saturating mix
+    /// of message sizes so the entry ports queue.
     #[test]
-    fn lookahead_lower_bounds_every_remote_send() {
-        let cfg = MachineConfig::with_nodes(16);
-        let mut n = LatencyNetwork::new(Mesh::new(&cfg), cfg.params.clone());
-        let q = min_remote_lookahead(&cfg.params);
-        // Defaults: 1 hop * 2 + 2 control flits * 1 = 4 cycles.
-        assert_eq!(q, 4);
-        // Saturate the network with traffic of every size and check no
-        // remote delivery ever lands earlier than send + lookahead.
-        for i in 0..200u64 {
+    fn no_send_arrives_in_its_send_cycle() {
+        let mut cfg = MachineConfig::with_nodes(16);
+        cfg.clusters = 4;
+        cfg.params.cluster_penalty = 25;
+        assert!(cfg.params.flit_cycle >= 1);
+        let mesh = Mesh::new(&cfg);
+        let mut ports = NetPorts::new(16);
+        let mut kinds = [0u32; 4];
+        for i in 0..400u64 {
             let src = NodeId::new((i % 16) as u32);
-            let dst = NodeId::new(((i * 5 + 1) % 16) as u32);
-            if src == dst {
-                continue;
-            }
-            let now = Cycle::new(i);
-            let t = n.send(now, src, dst, 2 + i % 7);
+            let dst = NodeId::new(((i * 5 + i / 16) % 16) as u32);
+            let extra = if i % 3 == 0 { i % 11 } else { 0 };
+            let now = Cycle::new(i / 2);
+            let (wire_at, _) = ports.launch(&cfg.params, &mesh, now, src, dst, 1 + i % 7, extra);
             assert!(
-                t >= now + q,
-                "delivery {t} beats lookahead bound {} for send at {now}",
-                now + q
+                wire_at > now,
+                "message {i} ({src}->{dst}, jitter {extra}) sent at {now} arrives at {wire_at}"
             );
-            let hops = cfg.hops(src, dst);
-            assert!(t >= now + pair_lookahead(&cfg.params, hops));
+            let kind = if src == dst {
+                0
+            } else if !mesh.same_cluster(src, dst) {
+                1
+            } else if extra > 0 {
+                2
+            } else {
+                3
+            };
+            kinds[kind] += 1;
         }
+        assert!(
+            kinds.iter().all(|&n| n > 0),
+            "local, cluster-crossing, jittered and plain remote sends all covered: {kinds:?}"
+        );
     }
 
     #[test]
-    fn split_phase_matches_fused_send_and_survives_split_merge() {
+    fn split_phase_matches_fused_send() {
         let cfg = MachineConfig::with_nodes(16);
         let mesh = Mesh::new(&cfg);
         let p = cfg.params.clone();
         let mut fused = LatencyNetwork::new(mesh.clone(), p.clone());
         let mut ports = NetPorts::new(16);
         // Drive identical traffic through the fused facade and through
-        // explicit launch/eject phases; delivery times and stats must
-        // agree. Halfway through, split the explicit ports into four
-        // shards and merge them back — state must survive losslessly.
+        // explicit launch/eject phases; delivery times, stats and
+        // digests must agree.
         for i in 0..200u64 {
-            if i == 100 {
-                let parts = ports.split(&[(0, 4), (4, 4), (8, 4), (12, 4)]);
-                assert_eq!(parts.len(), 4);
-                ports = NetPorts::merge(parts);
-            }
             let src = NodeId::new((i % 16) as u32);
             let dst = NodeId::new(((i * 11 + 3) % 16) as u32);
             let flits = 1 + i % 6;
@@ -661,9 +562,6 @@ mod tests {
             n.base_latency(NodeId::new(0), NodeId::new(4), 2).as_u64(),
             intra.as_u64() + 25
         );
-        // Lookahead stays a valid lower bound: the penalty only adds.
-        let q = min_remote_lookahead(&cfg.params);
-        assert!(intra.as_u64() >= q);
         // A flat machine with a configured penalty charges nothing.
         let flat = MachineConfig::with_nodes(16);
         let mut m = LatencyNetwork::new(Mesh::new(&flat), cfg.params.clone());

@@ -42,8 +42,6 @@ pub mod latency;
 pub mod topology;
 pub mod wormhole;
 
-pub use latency::{
-    base_latency, min_remote_lookahead, pair_lookahead, LatencyNetwork, NetPorts, NetworkStats,
-};
+pub use latency::{base_latency, LatencyNetwork, NetPorts, NetworkStats};
 pub use topology::Mesh;
 pub use wormhole::{FlitNetwork, FlitNetworkParams};

@@ -26,9 +26,9 @@ const WHEEL_MASK: usize = WHEEL_SIZE - 1;
 /// the same cycle are returned in ascending **key** order. Callers that
 /// use plain [`EventQueue::push`] get an auto-incremented insertion
 /// sequence as the key, i.e. FIFO within a cycle — the historical
-/// behaviour. Callers that need an ordering reproducible across
-/// differently-partitioned producers (the PDES engine) stamp their own
-/// canonical keys via [`EventQueue::push_keyed`]. Either way the total
+/// behaviour. Callers that need a same-cycle order derived from their
+/// own state (the machine simulator's per-node keys) stamp their own
+/// keys via [`EventQueue::push_keyed`]. Either way the total
 /// order makes every simulation run reproducible bit-for-bit from its
 /// inputs, which the experiment harness relies on.
 ///
@@ -126,9 +126,9 @@ impl<E> EventQueue<E> {
     /// Schedules `event` to fire at time `at` with an explicit same-cycle
     /// tie-break `key`. Events sharing a cycle pop in ascending key
     /// order; keys must be unique within a cycle for the order to be
-    /// total. The PDES engine stamps canonical keys so that the pop
-    /// order is a pure function of simulated causality, independent of
-    /// how pushes were distributed across shards.
+    /// total. The machine simulator stamps keys derived from per-node
+    /// counters, so the pop order is a pure function of simulated
+    /// causality.
     pub fn push_keyed(&mut self, at: Cycle, key: u128, event: E) {
         let t = at.as_u64();
         if self.wheel_len == 0 && t >= self.base {
@@ -162,8 +162,8 @@ impl<E> EventQueue<E> {
     }
 
     /// Like [`EventQueue::pop`], but also returns the event's tie-break
-    /// key. The PDES engine uses the key to derive follow-on event keys
-    /// (e.g. a wire arrival's key seeds its delivery's key).
+    /// key. The machine simulator uses the key to derive follow-on event
+    /// keys (a wire arrival's key seeds its delivery's key).
     pub fn pop_keyed(&mut self) -> Option<(Cycle, u128, E)> {
         let wheel_key = self.earliest_wheel_key();
         let far_key = self.far.peek().map(|e| ((e.key.0 .0).as_u64(), e.key.0 .1));
@@ -211,72 +211,6 @@ impl<E> EventQueue<E> {
                 return Some((self.base, key));
             }
             self.base += 1;
-        }
-    }
-
-    /// Returns the time of the earliest pending event without removing
-    /// it, advancing the wheel window so repeated calls are amortized
-    /// O(1). This is the cheap bound the PDES scheduler publishes as its
-    /// local clock; see [`EventQueue::pop_before`] for the matching
-    /// bounded drain.
-    pub fn peek_horizon(&mut self) -> Option<Cycle> {
-        let wheel = self.earliest_wheel_key();
-        let far = self.far.peek().map(|e| ((e.key.0 .0).as_u64(), e.key.0 .1));
-        match (wheel, far) {
-            (Some(w), Some(f)) => Some(Cycle::new(w.min(f).0)),
-            (Some(w), None) => Some(Cycle::new(w.0)),
-            (None, Some(f)) => Some(Cycle::new(f.0)),
-            (None, None) => None,
-        }
-    }
-
-    /// Removes and returns the earliest event **strictly before**
-    /// `horizon`, or `None` if the queue is empty or its earliest event
-    /// is at or past the horizon. Events at or beyond the horizon are
-    /// left untouched (no pop-and-push-back), so a conservative PDES
-    /// worker can drain its safe window directly against the wheel.
-    ///
-    /// `pop_before(Cycle::MAX)`-style calls with a far horizon behave
-    /// exactly like [`EventQueue::pop`].
-    pub fn pop_before(&mut self, horizon: Cycle) -> Option<(Cycle, E)> {
-        self.pop_before_keyed(horizon).map(|(at, _, e)| (at, e))
-    }
-
-    /// Like [`EventQueue::pop_before`], but also returns the tie-break
-    /// key — the bounded drain used by PDES shard loops.
-    pub fn pop_before_keyed(&mut self, horizon: Cycle) -> Option<(Cycle, u128, E)> {
-        let wheel_key = self.earliest_wheel_key();
-        let far_key = self.far.peek().map(|e| ((e.key.0 .0).as_u64(), e.key.0 .1));
-        let take_wheel = match (wheel_key, far_key) {
-            (None, None) => return None,
-            (Some(w), None) => {
-                if w.0 >= horizon.as_u64() {
-                    return None;
-                }
-                true
-            }
-            (None, Some(f)) => {
-                if f.0 >= horizon.as_u64() {
-                    return None;
-                }
-                false
-            }
-            (Some(w), Some(f)) => {
-                if w.min(f).0 >= horizon.as_u64() {
-                    return None;
-                }
-                w < f
-            }
-        };
-        if take_wheel {
-            Some(self.take_wheel_min())
-        } else {
-            let e = self.far.pop().expect("nonempty far heap");
-            let at = e.key.0 .0;
-            if self.wheel_len == 0 {
-                self.base = self.base.max(at.as_u64());
-            }
-            Some((at, e.key.0 .1, e.event))
         }
     }
 
@@ -346,33 +280,6 @@ impl<E> EventQueue<E> {
             h.write_u64((e.key.0 .1 >> 64) as u64);
             h.write_u64(e.key.0 .1 as u64);
             f(&e.event, h);
-        }
-    }
-
-    /// Visits every pending event in pop order — `(cycle, key)` —
-    /// without consuming the queue.
-    ///
-    /// Unlike [`EventQueue::digest_with`] this exposes neither the
-    /// insertion counter nor the wheel layout, so two queues that hold
-    /// the same timestamped pending events visit identically even when
-    /// their push histories differ. The partitioned machine's
-    /// canonical state digest is built on this: at quiescence every
-    /// shard's queue is empty and visits nothing, regardless of how
-    /// many shards the run used.
-    pub fn visit_pending(&self, mut f: impl FnMut(Cycle, &E)) {
-        if self.wheel_len > 0 {
-            for i in 0..WHEEL_SIZE as u64 {
-                let t = self.base + i;
-                let bucket = &self.wheel[t as usize & WHEEL_MASK];
-                for (_, event) in bucket.iter() {
-                    f(Cycle::new(t), event);
-                }
-            }
-        }
-        let mut far: Vec<&Entry<E>> = self.far.iter().collect();
-        far.sort_by_key(|e| e.key.0);
-        for e in far {
-            f(e.key.0 .0, &e.event);
         }
     }
 
@@ -537,22 +444,6 @@ mod tests {
             let Reverse((at, _, idx)) = self.heap.pop()?;
             Some((at, self.events[idx].take().expect("popped once")))
         }
-
-        fn pop_before(&mut self, horizon: Cycle) -> Option<(Cycle, E)> {
-            if self
-                .heap
-                .peek()
-                .is_some_and(|Reverse((at, _, _))| *at < horizon)
-            {
-                self.pop()
-            } else {
-                None
-            }
-        }
-
-        fn peek_horizon(&self) -> Option<Cycle> {
-            self.heap.peek().map(|Reverse((at, _, _))| *at)
-        }
     }
 
     #[test]
@@ -600,92 +491,6 @@ mod tests {
         // Drain the remainder.
         loop {
             let a = wheel.pop();
-            let b = heap.pop();
-            assert_eq!(a, b, "divergence during drain");
-            if a.is_none() {
-                break;
-            }
-        }
-    }
-
-    #[test]
-    fn pop_before_respects_horizon_boundary() {
-        let mut q = EventQueue::new();
-        q.push(Cycle::new(5), "at5");
-        q.push(Cycle::new(7), "at7");
-        // Horizon is exclusive: an event at the horizon stays queued.
-        assert_eq!(q.pop_before(Cycle::new(5)), None);
-        assert_eq!(q.peek_horizon(), Some(Cycle::new(5)));
-        assert_eq!(q.pop_before(Cycle::new(6)), Some((Cycle::new(5), "at5")));
-        assert_eq!(q.pop_before(Cycle::new(6)), None);
-        assert_eq!(q.len(), 1);
-        // A far-future horizon behaves like pop().
-        assert_eq!(
-            q.pop_before(Cycle::new(u64::MAX)),
-            Some((Cycle::new(7), "at7"))
-        );
-        assert_eq!(q.peek_horizon(), None);
-    }
-
-    /// Wheel-vs-heap equivalence for the bounded-drain API: drive both
-    /// implementations with an identical randomized schedule of pushes
-    /// and horizon-bounded pops (horizons chosen to land before,
-    /// between, at, and beyond pending events, including past the wheel
-    /// window so the far heap participates) and demand identical
-    /// observable behaviour. This pins the PDES-facing guarantee that
-    /// `pop_before`/`peek_horizon` never reorder or lose events
-    /// relative to a plain `(cycle, seq)` heap.
-    #[test]
-    fn bounded_drain_equivalent_to_reference_heap() {
-        let mut h = StableHasher::new();
-        h.write_str("event-queue-bounded-drain");
-        h.write_u64(9);
-        let mut rng = SimRng::new(h.finish());
-
-        let mut wheel: EventQueue<u64> = EventQueue::new();
-        let mut heap: HeapQueue<u64> = HeapQueue::new();
-        let mut now = 0u64;
-        let mut next_id = 0u64;
-        for step in 0..50_000u64 {
-            match rng.range(10) {
-                0..=4 => {
-                    let delta = match rng.range(20) {
-                        0 => rng.range(10_000), // past the wheel horizon
-                        1..=4 => 0,             // same-cycle burst
-                        _ => rng.range(200),
-                    };
-                    let at = Cycle::new(now + delta);
-                    wheel.push(at, next_id);
-                    heap.push(at, next_id);
-                    next_id += 1;
-                }
-                5..=8 => {
-                    // A PDES-style safe window: drain everything before
-                    // a horizon a few cycles ahead of the current time.
-                    let horizon = Cycle::new(now + rng.range(64));
-                    loop {
-                        let a = wheel.pop_before(horizon);
-                        let b = heap.pop_before(horizon);
-                        assert_eq!(a, b, "bounded divergence at step {step}");
-                        match a {
-                            Some((at, _)) => now = at.as_u64(),
-                            None => break,
-                        }
-                    }
-                    assert_eq!(wheel.peek_horizon(), heap.peek_horizon());
-                }
-                _ => {
-                    let a = wheel.pop();
-                    let b = heap.pop();
-                    assert_eq!(a, b, "unbounded divergence at step {step}");
-                    if let Some((at, _)) = a {
-                        now = at.as_u64();
-                    }
-                }
-            }
-        }
-        loop {
-            let a = wheel.pop_before(Cycle::new(u64::MAX));
             let b = heap.pop();
             assert_eq!(a, b, "divergence during drain");
             if a.is_none() {

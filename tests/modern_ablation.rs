@@ -1,22 +1,10 @@
 //! Regression tests for the modern-architecture ablation (`figures
 //! modern` — see RESULTS.md): the whole artifact must be byte-identical
-//! across experiment-runner worker counts (`--jobs`) and PDES machine
-//! sharding (`DSM_WORKERS`), and the directed false-sharing workload
-//! must diverge under cache-coherent atomics while converging under
-//! home-node atomics.
+//! across experiment-runner worker counts (`--jobs`), and the directed
+//! false-sharing workload must diverge under cache-coherent atomics
+//! while converging under home-node atomics.
 
 use atomic_dsm::experiments::{modern, runner, Scale};
-use std::sync::{Mutex, MutexGuard};
-
-/// The runner cache and the process environment are process-wide; the
-/// tests here mutate both, so they must not interleave.
-static EXCLUSIVE: Mutex<()> = Mutex::new(());
-
-fn exclusive() -> MutexGuard<'static, ()> {
-    EXCLUSIVE
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
 
 fn tiny() -> Scale {
     Scale {
@@ -47,28 +35,11 @@ fn artifact(jobs: usize) -> (String, String) {
 /// `--jobs 8`.
 #[test]
 fn modern_artifact_is_bitwise_identical_across_jobs() {
-    let _guard = exclusive();
     let serial = artifact(1);
     let parallel = artifact(8);
     assert_eq!(
         serial, parallel,
         "runner worker count changed the modern artifact"
-    );
-}
-
-/// The same bytes again when every simulated machine is sharded across
-/// PDES worker threads via `DSM_WORKERS`.
-#[test]
-fn modern_artifact_is_bitwise_identical_across_dsm_workers() {
-    let _guard = exclusive();
-    std::env::remove_var("DSM_WORKERS");
-    let serial = artifact(2);
-    std::env::set_var("DSM_WORKERS", "4");
-    let sharded = artifact(2);
-    std::env::remove_var("DSM_WORKERS");
-    assert_eq!(
-        serial, sharded,
-        "DSM_WORKERS sharding changed the modern artifact"
     );
 }
 

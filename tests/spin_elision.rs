@@ -28,13 +28,12 @@ fn fingerprint(m: &Machine, cycles: Cycle, events: u64) -> Fingerprint {
     (cycles.as_u64(), events, m.state_digest(), h.finish())
 }
 
-/// Builds a machine for the plain serial engine whatever the test
-/// environment says (`DSM_PARANOID`, `DSM_FAULTS`, `DSM_WORKERS`), and,
-/// when `literal`, attaches a tracer with no sinks: it writes nothing
-/// but forces the literal engine.
+/// Builds a machine for the plain engine whatever the test environment
+/// says (`DSM_PARANOID`, `DSM_FAULTS`), and, when `literal`, attaches a
+/// tracer with no sinks: it writes nothing but forces the literal
+/// engine.
 fn machine(build: &dyn Fn() -> Machine, literal: bool) -> Machine {
     let mut m = with_fault_config(FaultConfig::default(), build);
-    m.set_workers(1);
     if literal {
         m.attach_tracer(&TraceSpec {
             perfetto: false,
