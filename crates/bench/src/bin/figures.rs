@@ -34,6 +34,8 @@
 //! (Perfetto JSON into `traces/` by default — see
 //! `dsm_trace::TraceSpec` for the SPEC grammar). Trace files are
 //! content-addressed and byte-identical across `--jobs` settings.
+//! An unknown option or artifact exits 2 with the usage text on stderr
+//! before anything runs.
 //!
 //! `figures repro FILE` replays a minimal reproducer artifact emitted
 //! by the supervision layer (`DSM_REPRO_DIR`): it pins the recorded
@@ -55,6 +57,36 @@ use atomic_dsm::experiments::{
 use dsm_bench::scale;
 use std::path::PathBuf;
 use std::time::Instant;
+
+/// Every artifact name `figures` accepts.
+const ARTIFACTS: [&str; 13] = [
+    "table1",
+    "fig2",
+    "fig3",
+    "fig4",
+    "fig5",
+    "fig6",
+    "scaling",
+    "scaling-xl",
+    "lockfree",
+    "latency",
+    "metrics",
+    "modern",
+    "all",
+];
+
+const USAGE: &str = "usage: figures [ARTIFACT...] [--paper] [--bars] [--csv DIR] [--jobs N] \
+[--faults[=SPEC]] [--paranoid] [--trace[=SPEC]] [--proto=SPEC]
+       figures repro FILE
+       figures analyze FILE... [--csv DIR]";
+
+/// Reports a command-line error with the usage text and exits 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("figures: {msg}");
+    eprintln!("{USAGE}");
+    eprintln!("artifacts: {}", ARTIFACTS.join(" "));
+    std::process::exit(2);
+}
 
 fn write_csv(dir: &Option<PathBuf>, name: &str, rows: &[Vec<String>]) {
     let Some(dir) = dir else { return };
@@ -165,74 +197,67 @@ fn main() {
     if args.first().map(String::as_str) == Some("analyze") {
         analyze_traces(&args[1..]);
     }
-    let paper = args.iter().any(|a| a == "--paper");
-    let bars_mode = args.iter().any(|a| a == "--bars");
-    // Robustness knobs: `--faults[=SPEC]` turns deterministic fault
-    // injection on for every simulated machine (SPEC is `light`, `heavy`
-    // or a key=value list, see dsm_sim::FaultConfig::from_spec);
-    // `--paranoid` runs the protocol invariant checker after every
-    // transition. Both ride on the env overrides the machine builder
-    // honors, so they reach every job without new plumbing. With
-    // neither flag, artifacts are byte-identical to a faults-free build.
-    for a in &args {
-        if a == "--paranoid" {
-            std::env::set_var("DSM_PARANOID", "1");
-        } else if a == "--faults" {
-            std::env::set_var("DSM_FAULTS", "light");
-        } else if let Some(spec) = a.strip_prefix("--faults=") {
-            if let Err(e) = atomic_dsm::sim::FaultConfig::from_spec(spec) {
-                eprintln!("--faults: {e}");
-                std::process::exit(2);
+    // Everything is validated before any artifact runs, so a typo never
+    // costs a partial sweep: an unknown flag or artifact exits 2 with
+    // the usage line and nothing on stdout.
+    let mut paper = false;
+    let mut bars_mode = false;
+    let mut csv_dir: Option<PathBuf> = None;
+    let mut jobs: Option<usize> = None;
+    let mut wanted: Vec<&str> = Vec::new();
+    let mut rest = args.iter();
+    while let Some(a) = rest.next() {
+        match a.as_str() {
+            "--paper" => paper = true,
+            "--bars" => bars_mode = true,
+            // Robustness knobs: `--faults[=SPEC]` turns deterministic
+            // fault injection on for every simulated machine (SPEC is
+            // `light`, `heavy` or a key=value list, see
+            // dsm_sim::FaultConfig::from_spec); `--paranoid` runs the
+            // protocol invariant checker after every transition. Both ride
+            // on the env overrides the machine builder honors, so they
+            // reach every job without new plumbing. With neither flag,
+            // artifacts are byte-identical to a faults-free build.
+            "--paranoid" => std::env::set_var("DSM_PARANOID", "1"),
+            "--faults" => std::env::set_var("DSM_FAULTS", "light"),
+            "--trace" => std::env::set_var("DSM_TRACE", "1"),
+            "--csv" => match rest.next() {
+                Some(dir) => csv_dir = Some(PathBuf::from(dir)),
+                None => usage_error("--csv takes a directory"),
+            },
+            "--jobs" => match rest.next().map(|v| (v, v.parse::<usize>())) {
+                Some((_, Ok(n))) => jobs = Some(n.max(1)),
+                Some((v, Err(_))) => {
+                    usage_error(&format!("--jobs takes a positive integer, got `{v}`"))
+                }
+                None => usage_error("--jobs takes a positive integer"),
+            },
+            _ => {
+                if let Some(spec) = a.strip_prefix("--faults=") {
+                    if let Err(e) = atomic_dsm::sim::FaultConfig::from_spec(spec) {
+                        usage_error(&format!("--faults: {e}"));
+                    }
+                    std::env::set_var("DSM_FAULTS", spec);
+                } else if let Some(spec) = a.strip_prefix("--trace=") {
+                    if let Err(e) = atomic_dsm::trace::TraceSpec::from_spec(spec) {
+                        usage_error(&format!("--trace: {e}"));
+                    }
+                    std::env::set_var("DSM_TRACE", spec);
+                } else if let Some(spec) = a.strip_prefix("--proto=") {
+                    if let Err(e) = atomic_dsm::sim::ProtoSpec::from_spec(spec) {
+                        usage_error(&format!("--proto: {e}"));
+                    }
+                    std::env::set_var("DSM_PROTO", spec);
+                } else if a.starts_with('-') {
+                    usage_error(&format!("unknown option `{a}`"));
+                } else if ARTIFACTS.contains(&a.as_str()) {
+                    wanted.push(a);
+                } else {
+                    usage_error(&format!("unknown artifact `{a}`"));
+                }
             }
-            std::env::set_var("DSM_FAULTS", spec);
-        } else if a == "--trace" {
-            std::env::set_var("DSM_TRACE", "1");
-        } else if let Some(spec) = a.strip_prefix("--trace=") {
-            if let Err(e) = atomic_dsm::trace::TraceSpec::from_spec(spec) {
-                eprintln!("--trace: {e}");
-                std::process::exit(2);
-            }
-            std::env::set_var("DSM_TRACE", spec);
-        } else if let Some(spec) = a.strip_prefix("--proto=") {
-            if let Err(e) = atomic_dsm::sim::ProtoSpec::from_spec(spec) {
-                eprintln!("--proto: {e}");
-                std::process::exit(2);
-            }
-            std::env::set_var("DSM_PROTO", spec);
         }
     }
-    let csv_dir: Option<PathBuf> = args
-        .iter()
-        .position(|a| a == "--csv")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from);
-    let jobs: Option<usize> = args
-        .iter()
-        .position(|a| a == "--jobs")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| match v.parse::<usize>() {
-            Ok(n) => n.max(1),
-            Err(_) => {
-                eprintln!("--jobs takes a positive integer, got `{v}`");
-                std::process::exit(2);
-            }
-        });
-    let mut skip_next = false;
-    let wanted: Vec<&str> = args
-        .iter()
-        .filter(|a| {
-            if skip_next {
-                skip_next = false;
-                return false;
-            }
-            if *a == "--csv" || *a == "--jobs" {
-                skip_next = true;
-                return false;
-            }
-            !a.starts_with("--")
-        })
-        .map(String::as_str)
-        .collect();
     // `scaling-xl`, `lockfree`, `latency`, `metrics` and `modern` are
     // deliberately NOT part of `all`: the committed paper artifacts
     // (results_paper.txt, results_csv/) must stay byte-identical.
@@ -463,12 +488,7 @@ fn main() {
                     println!("{}", modern::render(&report));
                     write_csv(&csv_dir, "modern", &modern::csv_rows(&report));
                 }
-                other => {
-                    eprintln!(
-                    "unknown artifact `{other}` (try: table1 fig2 fig3 fig4 fig5 fig6 scaling scaling-xl lockfree latency metrics modern all)"
-                );
-                    std::process::exit(2);
-                }
+                other => unreachable!("artifact `{other}` passed validation"),
             }
             eprintln!("[{artifact}: {:.2}s]", t.elapsed().as_secs_f64());
         }

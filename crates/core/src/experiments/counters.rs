@@ -89,9 +89,9 @@ pub fn measure_bar_on(
 }
 
 /// Builds one counter point's machine without running it. Only the
-/// [`runner`] (and the checkpoint layer, through the runner) calls
-/// this; everything else goes through [`measure_bar`]/[`measure_bar_on`]
-/// so the cache and the per-job seed derivation stay in effect.
+/// [`runner`] calls this; everything else goes through
+/// [`measure_bar`]/[`measure_bar_on`] so the cache and the per-job seed
+/// derivation stay in effect.
 ///
 /// The finish stage reports the run's failure diagnostic (deadlock,
 /// livelock, protocol error, invariant violation, cycle limit) or a

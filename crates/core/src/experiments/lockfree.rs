@@ -144,9 +144,8 @@ pub fn render(tables: &[LockfreeTable]) -> String {
 }
 
 /// Builds one point's machine without running it. Only the [`runner`]
-/// (and the checkpoint layer, through the runner) calls this;
-/// everything else goes through [`measure`]/[`run_tables`] so the
-/// cache and per-job seed derivation stay in effect.
+/// calls this; everything else goes through [`measure`]/[`run_tables`]
+/// so the cache and per-job seed derivation stay in effect.
 ///
 /// The finish stage reports the run's failure diagnostic, a
 /// coherence-validation failure, or a structure-invariant violation —

@@ -17,7 +17,6 @@
 //! where the crossovers fall (see EXPERIMENTS.md).
 
 pub mod apps;
-pub mod checkpoint;
 pub mod counters;
 pub mod diskcache;
 pub mod latency;

@@ -487,10 +487,10 @@ pub(crate) type FinishFn =
 
 /// A job's machine built and seeded but not yet run.
 ///
-/// [`try_execute`] drives these straight to completion; the checkpoint
-/// layer drives them through [`Machine::run_until`] pauses instead.
-/// Building is a pure function of the job key, so two `PreparedRun`s
-/// for the same job hold bit-identical machines.
+/// [`try_execute`] drives these straight to completion; the reproducer
+/// layer rebuilds them to replay and shrink a failing job. Building is
+/// a pure function of the job key, so two `PreparedRun`s for the same
+/// job hold bit-identical machines.
 pub(crate) struct PreparedRun {
     /// Label used to attribute failure diagnostics (e.g. the bar name).
     pub label: String,
@@ -504,7 +504,7 @@ pub(crate) struct PreparedRun {
 
 /// Builds the machine for a job without running it. Returns `None` for
 /// [`Job::Table1`]: its directed micro-machines are driven by their own
-/// harness, complete in microseconds, and are never checkpointed.
+/// harness and complete in microseconds.
 pub(crate) fn prepare(job: &Job) -> Option<PreparedRun> {
     match job {
         Job::Counter {
@@ -553,8 +553,8 @@ pub(crate) fn prepare(job: &Job) -> Option<PreparedRun> {
 }
 
 /// Attributes a [`SimFailure`] to `job`, producing the reportable
-/// [`JobError`]. Shared by the runner, the checkpoint layer and the
-/// reproducer layer so failure rendering stays uniform.
+/// [`JobError`]. Shared by the runner and the reproducer layer so
+/// failure rendering stays uniform.
 pub(crate) fn attribute(job: &Job, f: SimFailure) -> JobError {
     JobError {
         job: format!("{job:?}"),

@@ -42,9 +42,7 @@ pub mod program;
 pub mod stats;
 pub mod trace;
 
-pub use machine::{
-    with_fault_config, Machine, MachineBuilder, ProcDump, RunError, RunOutcome, RunReport, StopRule,
-};
+pub use machine::{with_fault_config, Machine, MachineBuilder, ProcDump, RunError, RunReport};
 pub use program::{Action, ProcCtx, Program};
 pub use stats::MachineStats;
 pub use trace::{new_trace, TraceRecorder, TraceReplay};

@@ -221,47 +221,6 @@ pub struct RunReport {
     pub events: u64,
 }
 
-/// Where [`Machine::run_until`] should pause, if anywhere.
-///
-/// Pauses happen on event boundaries: the rule is checked after each
-/// dispatched event, so a paused machine holds a state that an
-/// uninterrupted run passes through exactly. That makes
-/// [`StopRule::AfterEvents`] the replay coordinate of the checkpoint
-/// system — rebuilding the same machine and pausing after the same
-/// event count reproduces the paused state bit for bit.
-///
-/// A stop rule other than [`StopRule::None`] turns spin-wait elision
-/// off, so every event the rule counts is dispatched and a pause can
-/// land on any of them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StopRule {
-    /// Never pause (equivalent to [`Machine::run`]).
-    None,
-    /// Pause after the first event dispatched at or beyond this time.
-    PauseAt(Cycle),
-    /// Pause once this many events (counted from machine construction)
-    /// have been dispatched.
-    AfterEvents(u64),
-}
-
-/// What [`Machine::run_until`] returned: a finished run or a pause.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RunOutcome {
-    /// Every processor terminated and the machine is quiescent.
-    Done(RunReport),
-    /// The stop rule fired; call [`Machine::run_until`] again to resume.
-    Paused(RunReport),
-}
-
-impl RunOutcome {
-    /// The report, whether the run finished or paused.
-    pub fn report(&self) -> RunReport {
-        match *self {
-            RunOutcome::Done(r) | RunOutcome::Paused(r) => r,
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
 // Canonical event keys
 // ---------------------------------------------------------------------
@@ -445,7 +404,7 @@ struct Core {
     #[allow(clippy::vec_box)]
     outcome_pool: Vec<Box<OpOutcome>>,
     /// The longest spin pause that may park during this run, or `None`
-    /// when this run does not park (set by [`Machine::run_until`]).
+    /// when this run does not park (set by [`Machine::run`]).
     park_bound: Option<u64>,
     /// Processors currently parked.
     parked: usize,
@@ -1448,7 +1407,6 @@ impl MachineBuilder {
                 .and_then(|v| v.parse::<u64>().ok())
                 .filter(|&ms| ms > 0)
                 .map(Duration::from_millis),
-            paused: false,
         };
         for (addr, value) in self.init {
             machine.poke_word(addr, value);
@@ -1478,11 +1436,8 @@ pub struct Machine {
     injected_wipes: u64,
     /// Shared-to-exclusive corruptions forced by the fault injector.
     injected_corruptions: u64,
-    /// Wall-clock budget per `run`/`run_until` call, if any.
+    /// Wall-clock budget per `run` call, if any.
     wall_limit: Option<Duration>,
-    /// `true` between a stop-rule pause and the resuming call, so the
-    /// resume does not reset watchdog bookkeeping.
-    paused: bool,
 }
 
 impl Machine {
@@ -1507,16 +1462,15 @@ impl Machine {
         self.core.ports.stats()
     }
 
-    /// `true` when a run under `stop` must dispatch every event
-    /// literally: instrumentation (tracer, fault injector, paranoid
-    /// checking, watchdog, debug ring) or a stop rule is active.
-    fn instrumented(&self, stop: StopRule) -> bool {
+    /// `true` when a run must dispatch every event literally:
+    /// instrumentation (tracer, fault injector, paranoid checking,
+    /// watchdog, debug ring) is active.
+    fn instrumented(&self) -> bool {
         self.core.tracer.is_some()
             || self.core.injector.is_some()
             || self.core.paranoid
             || self.watchdog > 0
             || self.core.ring.is_some()
-            || !matches!(stop, StopRule::None)
     }
 
     /// The longest spin pause a run may park, or `None` when the run
@@ -1528,11 +1482,11 @@ impl Machine {
     /// arrives, and with `flit_cycle >= 1` no message arrives in the
     /// cycle it is sent. So `d <= bound` leaves no later message
     /// processing in a spinner event's cycle.
-    fn park_bound(&self, stop: StopRule) -> Option<u64> {
+    fn park_bound(&self) -> Option<u64> {
         let p = &self.core.cfg.params;
         let bound = p.cache_ctrl.min(p.dir_access + p.mem_access);
         let exact = p.flit_cycle >= 1 && p.cache_hit <= bound && p.issue <= bound;
-        (exact && !self.instrumented(stop)).then_some(bound)
+        (exact && !self.instrumented()).then_some(bound)
     }
 
     /// Writes a word directly into its home memory (initialization /
@@ -1567,30 +1521,13 @@ impl Machine {
     /// processors (a protocol/program bug), [`RunError::Livelock`] if the
     /// watchdog window elapsed without an op retiring,
     /// [`RunError::Protocol`] if a protocol engine reached an illegal
-    /// state, or [`RunError::Invariant`] if paranoid checking found a
-    /// violated invariant.
+    /// state, [`RunError::Invariant`] if paranoid checking found a
+    /// violated invariant, or [`RunError::Timeout`] when a wall-clock
+    /// budget ([`set_wall_limit`](Machine::set_wall_limit) or
+    /// `DSM_WALL_LIMIT`) elapses before the run finishes.
     pub fn run(&mut self, limit: Cycle) -> Result<RunReport, RunError> {
-        match self.run_until(limit, StopRule::None)? {
-            RunOutcome::Done(report) => Ok(report),
-            RunOutcome::Paused(_) => unreachable!("StopRule::None never pauses"),
-        }
-    }
-
-    /// Like [`run`](Machine::run), but pauses when `stop` fires (see
-    /// [`StopRule`]); call again to resume. Because pauses land on event
-    /// boundaries, a paused machine's [`state_digest`](Machine::state_digest)
-    /// equals the digest an uninterrupted run has at the same event
-    /// count — the property the checkpoint/restore layer verifies.
-    ///
-    /// # Errors
-    ///
-    /// The same errors as [`run`](Machine::run), plus
-    /// [`RunError::Timeout`] when a wall-clock budget
-    /// ([`set_wall_limit`](Machine::set_wall_limit) or `DSM_WALL_LIMIT`)
-    /// elapses before the run finishes or pauses.
-    pub fn run_until(&mut self, limit: Cycle, stop: StopRule) -> Result<RunOutcome, RunError> {
-        self.core.park_bound = self.park_bound(stop);
-        let result = self.run_inner(limit, stop);
+        self.core.park_bound = self.park_bound();
+        let result = self.run_inner(limit);
         // A failed run may leave spinners parked; put the machine back
         // in the literal state.
         self.core.unpark_all(self.core.now);
@@ -1598,21 +1535,10 @@ impl Machine {
         // error), so flush on the error path too. A trace I/O failure
         // must not masquerade as a simulation failure; report and move
         // on.
-        if !matches!(result, Ok(RunOutcome::Paused(_))) {
-            if let Err(e) = self.flush_trace() {
-                eprintln!("warning: failed to write trace output: {e}");
-            }
+        if let Err(e) = self.flush_trace() {
+            eprintln!("warning: failed to write trace output: {e}");
         }
         result
-    }
-
-    /// `true` if `stop` fires at the current event count / time.
-    fn should_pause(&self, stop: StopRule) -> bool {
-        match stop {
-            StopRule::None => false,
-            StopRule::PauseAt(cycle) => self.core.now >= cycle,
-            StopRule::AfterEvents(n) => self.core.events_processed >= n,
-        }
     }
 
     /// Checks the wall-clock budget (every `WALL_CHECK_MASK + 1`
@@ -1637,12 +1563,9 @@ impl Machine {
         Ok(())
     }
 
-    fn run_inner(&mut self, limit: Cycle, stop: StopRule) -> Result<RunOutcome, RunError> {
+    fn run_inner(&mut self, limit: Cycle) -> Result<RunReport, RunError> {
         let started = Instant::now();
-        if !self.paused {
-            self.core.last_retire = self.core.now;
-        }
-        self.paused = false;
+        self.core.last_retire = self.core.now;
         while self.core.active > 0 {
             let Some((at, key, event)) = self.core.events.pop_keyed() else {
                 if self.core.parked > 0 {
@@ -1672,13 +1595,6 @@ impl Machine {
             if self.core.dispatch(key, event)? {
                 self.core.try_release_barrier();
             }
-            if self.should_pause(stop) {
-                self.paused = true;
-                return Ok(RunOutcome::Paused(RunReport {
-                    cycles: self.core.now,
-                    events: self.core.events_processed,
-                }));
-            }
         }
         let finished = self.core.now;
         // Drain in-flight traffic (e.g. final write-backs) so the
@@ -1692,27 +1608,19 @@ impl Machine {
             self.core.events_processed += 1;
             self.check_wall(started)?;
             self.core.dispatch(key, event)?;
-            if self.should_pause(stop) {
-                self.paused = true;
-                return Ok(RunOutcome::Paused(RunReport {
-                    cycles: self.core.now,
-                    events: self.core.events_processed,
-                }));
-            }
         }
         if self.core.paranoid {
             self.quiescence_check(finished)?;
         }
-        Ok(RunOutcome::Done(RunReport {
+        Ok(RunReport {
             cycles: finished,
             events: self.core.events_processed,
-        }))
+        })
     }
 
     /// Sets (or clears) the wall-clock budget applied to each
-    /// [`run`](Machine::run) / [`run_until`](Machine::run_until) call,
-    /// overriding the `DSM_WALL_LIMIT` environment variable read at
-    /// build time.
+    /// [`run`](Machine::run) call, overriding the `DSM_WALL_LIMIT`
+    /// environment variable read at build time.
     pub fn set_wall_limit(&mut self, limit: Option<Duration>) {
         self.wall_limit = limit;
     }
@@ -1878,10 +1786,8 @@ impl Machine {
     }
 
     /// Total events the simulated machine processed since construction
-    /// — the model count reported in [`RunReport::events`] and the
-    /// replay coordinate used by checkpoints (see
-    /// [`StopRule::AfterEvents`]). It includes spin iterations that a
-    /// parked processor skipped.
+    /// — the model count reported in [`RunReport::events`]. It includes
+    /// spin iterations that a parked processor skipped.
     pub fn events_processed(&self) -> u64 {
         self.core.events_processed
     }

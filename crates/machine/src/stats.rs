@@ -54,7 +54,7 @@ impl MachineStats {
         }
     }
 
-    /// Folds every measurement into a checkpoint digest.
+    /// Folds every measurement into a state digest.
     pub fn digest(&self, h: &mut dsm_sim::StableHasher) {
         self.msgs.digest(h);
         self.contention.digest(h);

@@ -45,7 +45,7 @@ impl NetworkStats {
         }
     }
 
-    /// Folds all counters into a checkpoint digest.
+    /// Folds all counters into a state digest.
     pub fn digest(&self, h: &mut dsm_sim::StableHasher) {
         h.write_u64(self.messages);
         h.write_u64(self.flits);
@@ -206,7 +206,7 @@ impl NetPorts {
         delivered
     }
 
-    /// Folds the dynamic port state and statistics into a checkpoint
+    /// Folds the dynamic port state and statistics into a state
     /// digest.
     pub fn digest(&self, h: &mut dsm_sim::StableHasher) {
         h.write_usize(self.entry_free.len());
@@ -344,7 +344,7 @@ impl LatencyNetwork {
 
     /// Folds the network's dynamic state — port busy times, per-node
     /// local watermarks and launch counters, and statistics — into a
-    /// checkpoint digest. The mesh topology and timing parameters are
+    /// state digest. The mesh topology and timing parameters are
     /// static configuration and are excluded: they are fixed by the job
     /// being replayed.
     pub fn digest(&self, h: &mut dsm_sim::StableHasher) {

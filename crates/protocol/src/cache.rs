@@ -198,7 +198,7 @@ impl Cache {
     }
 
     /// Folds the full cache state — geometry, LRU clock, and every
-    /// resident line with its LRU stamp — into a checkpoint digest.
+    /// resident line with its LRU stamp — into a state digest.
     /// Storage order within a set is hashed as-is: it evolves
     /// deterministically (MRU swap and `swap_remove` only), so replayed
     /// runs reproduce it exactly.

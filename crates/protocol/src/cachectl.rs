@@ -28,7 +28,7 @@ pub struct OpOutcome {
 }
 
 impl OpOutcome {
-    /// Folds the outcome into a checkpoint digest.
+    /// Folds the outcome into a state digest.
     pub fn digest(&self, h: &mut dsm_sim::StableHasher) {
         self.result.digest(h);
         h.write_u32(self.chain);
@@ -54,7 +54,7 @@ struct Mshr {
 }
 
 impl Mshr {
-    /// Folds the in-flight miss record into a checkpoint digest.
+    /// Folds the in-flight miss record into a state digest.
     fn digest(&self, h: &mut dsm_sim::StableHasher) {
         self.op.digest(h);
         h.write_u64(self.line.number());
@@ -232,7 +232,7 @@ impl CacheNode {
 
     /// Folds the controller's full state — identity, cache contents,
     /// LL reservation register, and outstanding MSHR — into a
-    /// checkpoint digest.
+    /// state digest.
     pub fn digest(&self, h: &mut dsm_sim::StableHasher) {
         h.write_u32(self.node.as_u32());
         h.write_u32(self.proc.as_u32());

@@ -99,7 +99,7 @@ impl LineData {
         }
     }
 
-    /// Folds the line's size and contents into a checkpoint digest.
+    /// Folds the line's size and contents into a state digest.
     pub fn digest(&self, h: &mut dsm_sim::StableHasher) {
         h.write_u64(self.line_size);
         for &w in self.words() {

@@ -34,7 +34,7 @@ impl DirState {
         }
     }
 
-    /// Folds the state into a checkpoint digest.
+    /// Folds the state into a state digest.
     pub fn digest(&self, h: &mut dsm_sim::StableHasher) {
         match self {
             DirState::Uncached => h.write_u8(0),
@@ -102,7 +102,7 @@ pub struct DirEntry {
 }
 
 impl BusyKind {
-    /// Folds the kind into a checkpoint digest.
+    /// Folds the kind into a state digest.
     pub fn digest(&self, h: &mut dsm_sim::StableHasher) {
         match self {
             BusyKind::GetS => h.write_u8(0),
@@ -121,7 +121,7 @@ impl BusyKind {
 }
 
 impl Busy {
-    /// Folds the in-flight intervention record into a checkpoint digest.
+    /// Folds the in-flight intervention record into a state digest.
     pub fn digest(&self, h: &mut dsm_sim::StableHasher) {
         self.kind.digest(h);
         self.request.digest(h);
@@ -137,7 +137,7 @@ impl DirEntry {
     }
 
     /// Folds the entry (stable state, busy record, queued waiters in
-    /// FIFO order) into a checkpoint digest.
+    /// FIFO order) into a state digest.
     pub fn digest(&self, h: &mut dsm_sim::StableHasher) {
         self.state.digest(h);
         match &self.busy {

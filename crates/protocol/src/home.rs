@@ -225,7 +225,7 @@ impl HomeNode {
     }
 
     /// Folds the home's full state — directory, backing memory, and
-    /// memory-side reservations — into a checkpoint digest. Both tables
+    /// memory-side reservations — into a state digest. Both tables
     /// are hashed in sorted line order, so equal states digest equally
     /// regardless of insertion history.
     pub fn digest(&self, h: &mut dsm_sim::StableHasher) {

@@ -56,7 +56,7 @@ impl MemAtomicOp {
         )
     }
 
-    /// Folds the operation into a checkpoint digest.
+    /// Folds the operation into a state digest.
     pub fn digest(self, h: &mut dsm_sim::StableHasher) {
         match self {
             MemAtomicOp::Load => h.write_u8(0),
@@ -365,7 +365,7 @@ impl MsgKind {
         }
     }
 
-    /// Folds the message kind and its payload into a checkpoint digest.
+    /// Folds the message kind and its payload into a state digest.
     pub fn digest(&self, h: &mut dsm_sim::StableHasher) {
         fn opt_data(h: &mut dsm_sim::StableHasher, d: &Option<LineData>) {
             match d {
@@ -574,7 +574,7 @@ impl Msg {
     }
 
     /// Folds the full message (routing header and payload) into a
-    /// checkpoint digest.
+    /// state digest.
     pub fn digest(&self, h: &mut dsm_sim::StableHasher) {
         h.write_u32(self.src.as_u32());
         h.write_u32(self.dst.as_u32());

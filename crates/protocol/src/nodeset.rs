@@ -92,7 +92,7 @@ impl NodeSet {
         })
     }
 
-    /// Folds the set's members into a checkpoint digest. Trailing
+    /// Folds the set's members into a state digest. Trailing
     /// all-zero words are not hashed, so equal sets digest equally
     /// regardless of capacity history.
     pub fn digest(&self, h: &mut dsm_sim::StableHasher) {

@@ -80,7 +80,7 @@ impl CacheReservation {
         self.line
     }
 
-    /// Folds the reservation register into a checkpoint digest.
+    /// Folds the reservation register into a state digest.
     pub fn digest(&self, h: &mut dsm_sim::StableHasher) {
         match self.line {
             Some(l) => {
@@ -373,7 +373,7 @@ impl ReservationStore {
     }
 
     /// Folds the store (pool accounting plus every line's records, in
-    /// sorted line order) into a checkpoint digest.
+    /// sorted line order) into a state digest.
     pub fn digest(&self, h: &mut dsm_sim::StableHasher) {
         h.write_usize(self.pool_capacity);
         h.write_usize(self.pool_used);

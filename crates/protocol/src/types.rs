@@ -67,7 +67,7 @@ impl CasVariant {
         }
     }
 
-    /// Folds the variant into a checkpoint digest.
+    /// Folds the variant into a state digest.
     pub fn digest(self, h: &mut dsm_sim::StableHasher) {
         h.write_u8(match self {
             CasVariant::Plain => 0,
@@ -104,7 +104,7 @@ impl PhiOp {
         }
     }
 
-    /// Folds the operation into a checkpoint digest.
+    /// Folds the operation into a state digest.
     pub fn digest(self, h: &mut dsm_sim::StableHasher) {
         let (tag, operand) = match self {
             PhiOp::Add(k) => (0u8, k),
@@ -250,7 +250,7 @@ impl MemOp {
         }
     }
 
-    /// Folds the operation (kind, address and payload) into a checkpoint
+    /// Folds the operation (kind, address and payload) into a state
     /// digest.
     pub fn digest(self, h: &mut dsm_sim::StableHasher) {
         h.write_u64(self.addr().as_u64());
@@ -343,7 +343,7 @@ impl OpResult {
         }
     }
 
-    /// Folds the result into a checkpoint digest.
+    /// Folds the result into a state digest.
     pub fn digest(self, h: &mut dsm_sim::StableHasher) {
         match self {
             OpResult::Loaded {

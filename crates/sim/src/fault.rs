@@ -479,7 +479,7 @@ impl FaultInjector {
     }
 
     /// Folds the injector's dynamic state — RNG position, window clock,
-    /// and candidate/applied counters — into a checkpoint digest. The
+    /// and candidate/applied counters — into a state digest. The
     /// config and filter are static per run and are excluded.
     pub fn digest(&self, h: &mut crate::StableHasher) {
         for w in self.rng.state() {

@@ -98,8 +98,7 @@ impl SimRng {
 
     /// Returns the generator's full internal state (the four xoshiro
     /// words). Two generators with equal state produce identical
-    /// streams forever — this is what state digests and checkpoint
-    /// verification hash.
+    /// streams forever — this is what state digests hash.
     pub fn state(&self) -> [u64; 4] {
         self.s
     }

@@ -1,8 +1,8 @@
 //! Versioned, checksummed on-disk containers for simulator artifacts.
 //!
-//! Checkpoints, persistent result-cache entries and fault reproducers
-//! all share one container format so every consumer gets the same
-//! guarantees:
+//! Persistent result-cache entries, fault reproducers and latency
+//! histograms all share one container format so every consumer gets
+//! the same guarantees:
 //!
 //! * **Versioning** — an 8-byte magic plus a format version and a
 //!   payload-kind tag, so a reader can reject foreign files, files from
@@ -40,11 +40,14 @@ pub const MAGIC: [u8; 8] = *b"DSMSNAP\0";
 pub const FORMAT_VERSION: u32 = 3;
 
 /// What a container's payload encodes. Stored in the header so a
-/// checkpoint can never be misread as a cache entry or vice versa.
+/// reproducer can never be misread as a cache entry or vice versa.
+///
+/// Tag 1 is reserved: it belonged to a retired machine-checkpoint kind,
+/// and a container carrying it reads as an unknown kind
+/// ([`SnapshotError::BadKind`]). The other tags never change, so
+/// existing files stay readable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PayloadKind {
-    /// A machine checkpoint: job binding + replay coordinates + digest.
-    Checkpoint,
     /// A persistent result-cache entry: job key + encoded result.
     CacheEntry,
     /// A minimized fault-schedule reproducer.
@@ -56,27 +59,15 @@ pub enum PayloadKind {
 impl PayloadKind {
     fn tag(self) -> u32 {
         match self {
-            PayloadKind::Checkpoint => 1,
             PayloadKind::CacheEntry => 2,
             PayloadKind::Reproducer => 3,
             PayloadKind::Histogram => 4,
         }
     }
 
-    fn from_tag(tag: u32) -> Option<Self> {
-        match tag {
-            1 => Some(PayloadKind::Checkpoint),
-            2 => Some(PayloadKind::CacheEntry),
-            3 => Some(PayloadKind::Reproducer),
-            4 => Some(PayloadKind::Histogram),
-            _ => None,
-        }
-    }
-
     /// A short human-readable name (used in error messages).
     pub fn label(self) -> &'static str {
         match self {
-            PayloadKind::Checkpoint => "checkpoint",
             PayloadKind::CacheEntry => "cache entry",
             PayloadKind::Reproducer => "reproducer",
             PayloadKind::Histogram => "latency histogram",
@@ -216,7 +207,7 @@ pub fn from_bytes(bytes: &[u8], kind: PayloadKind) -> Result<Vec<u8>, SnapshotEr
         });
     }
     let kind_tag = u32_at(12)?;
-    if PayloadKind::from_tag(kind_tag) != Some(kind) {
+    if kind_tag != kind.tag() {
         return Err(SnapshotError::BadKind {
             found: kind_tag,
             expected: kind,
@@ -542,24 +533,51 @@ mod tests {
 
     #[test]
     fn container_rejects_wrong_kind_version_magic() {
-        let bytes = to_bytes(PayloadKind::Checkpoint, b"x");
+        let bytes = to_bytes(PayloadKind::Reproducer, b"x");
         assert!(matches!(
-            from_bytes(&bytes, PayloadKind::Reproducer),
-            Err(SnapshotError::BadKind { found: 1, .. })
+            from_bytes(&bytes, PayloadKind::CacheEntry),
+            Err(SnapshotError::BadKind { found: 3, .. })
+        ));
+        let hist = to_bytes(PayloadKind::Histogram, b"x");
+        assert!(matches!(
+            from_bytes(&hist, PayloadKind::Reproducer),
+            Err(SnapshotError::BadKind { found: 4, .. })
         ));
         let mut skewed = bytes.clone();
         skewed[8] = 0xFF; // version field
         assert!(matches!(
-            from_bytes(&skewed, PayloadKind::Checkpoint),
+            from_bytes(&skewed, PayloadKind::Reproducer),
             Err(SnapshotError::BadVersion { found, expected })
                 if found != expected
         ));
         let mut alien = bytes.clone();
         alien[0] = b'X';
         assert!(matches!(
-            from_bytes(&alien, PayloadKind::Checkpoint),
+            from_bytes(&alien, PayloadKind::Reproducer),
             Err(SnapshotError::BadMagic)
         ));
+    }
+
+    #[test]
+    fn reserved_kind_tag_is_a_typed_error() {
+        // A well-formed container (valid checksum) under the reserved
+        // tag 1 reads as an unknown kind for every live kind.
+        let payload = b"x";
+        let mut bytes = to_bytes(PayloadKind::CacheEntry, payload);
+        bytes[12..16].copy_from_slice(&1u32.to_le_bytes());
+        let sum_at = bytes.len() - 8;
+        bytes[sum_at..].copy_from_slice(&checksum(FORMAT_VERSION, 1, payload).to_le_bytes());
+        for kind in [
+            PayloadKind::CacheEntry,
+            PayloadKind::Reproducer,
+            PayloadKind::Histogram,
+        ] {
+            let err = from_bytes(&bytes, kind).unwrap_err();
+            assert!(
+                matches!(err, SnapshotError::BadKind { found: 1, expected } if expected == kind),
+                "{err}"
+            );
+        }
     }
 
     #[test]

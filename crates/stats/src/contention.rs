@@ -73,7 +73,7 @@ impl ContentionTracker {
         self.active.get(&location).copied().unwrap_or(0)
     }
 
-    /// Folds the tracker's state into a checkpoint digest. Locations
+    /// Folds the tracker's state into a state digest. Locations
     /// whose in-progress count has returned to zero are skipped, so the
     /// digest is a function of the observable state, not of which
     /// locations were ever touched.

@@ -108,7 +108,7 @@ impl Histogram {
             .map(|(v, &c)| (v, c))
     }
 
-    /// Folds the histogram's contents into a checkpoint digest. Only
+    /// Folds the histogram's contents into a state digest. Only
     /// nonzero buckets are hashed, so two histograms that compare equal
     /// observation-wise digest identically regardless of trailing empty
     /// buckets.

@@ -188,7 +188,7 @@ impl LatencyHist {
             .map(|(i, &c)| (Self::bucket_upper(i), c))
     }
 
-    /// Folds the histogram's contents into a checkpoint digest. Only
+    /// Folds the histogram's contents into a state digest. Only
     /// nonzero buckets are hashed, so trailing empty buckets do not
     /// perturb the digest.
     pub fn digest(&self, h: &mut StableHasher) {

@@ -138,7 +138,7 @@ impl OnlineMean {
     }
 
     /// Folds the accumulator's exact state (count, bit-exact sum,
-    /// min/max) into a checkpoint digest.
+    /// min/max) into a state digest.
     pub fn digest(&self, h: &mut dsm_sim::StableHasher) {
         h.write_u64(self.count);
         h.write_f64_bits(self.sum);

@@ -130,7 +130,7 @@ impl ChainStats {
         &self.chain_histogram
     }
 
-    /// Folds the per-class counts and chain statistics into a checkpoint
+    /// Folds the per-class counts and chain statistics into a state
     /// digest.
     pub fn digest(&self, h: &mut dsm_sim::StableHasher) {
         for &c in &self.counts {

@@ -96,7 +96,7 @@ impl WriteRunTracker {
     }
 
     /// Folds the tracker's state (in-progress runs plus completed-run
-    /// statistics) into a checkpoint digest.
+    /// statistics) into a state digest.
     pub fn digest(&self, h: &mut dsm_sim::StableHasher) {
         let mut current: Vec<(u64, u32, u64)> = self
             .current
