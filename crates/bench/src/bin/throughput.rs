@@ -1,10 +1,13 @@
 //! Simulator-throughput harness: the perf trajectory baseline.
 //!
 //! Runs a fixed workload basket (lock-free counter, MCS-lock counter,
-//! one application kernel) through the cycle-level engine and reports
-//! how fast the *simulator* is — simulated cycles and discrete events
-//! per wall-clock second. The simulated results themselves are
-//! deterministic; only the wall-clock figures vary with the host.
+//! a message-bound TTS-lock counter, one application kernel) through
+//! the cycle-level engine and reports how fast the *simulator* is —
+//! simulated cycles and discrete events per wall-clock second. The
+//! simulated results themselves are deterministic; only the wall-clock
+//! figures vary with the host. The printed table also splits each
+//! workload's dispatched events by kind (`Wire`, `Deliver`, `Process`,
+//! `ProcStep`, `OpDone`): the first three are coherence-message work.
 //!
 //! ```text
 //! cargo run --release -p dsm-bench --bin throughput -- \
@@ -56,6 +59,9 @@ struct Measurement {
     /// Events the host dispatched: `events` minus the spin iterations
     /// that parking skipped. Printed, not written to the JSON report.
     dispatched: u64,
+    /// `dispatched` split by event kind (see `Machine::dispatched_by_kind`).
+    /// Printed, not written to the JSON report.
+    by_kind: [(&'static str, u64); 5],
     wall_ms: f64,
 }
 
@@ -84,11 +90,19 @@ fn measure(name: &'static str, mut machine: Machine, check: impl FnOnce(&Machine
     });
     let wall_ms = start.elapsed().as_secs_f64() * 1000.0;
     check(&machine);
+    let by_kind = machine.dispatched_by_kind();
+    let dispatched = machine.events_dispatched();
+    assert_eq!(
+        by_kind.iter().map(|&(_, n)| n).sum::<u64>(),
+        dispatched,
+        "{name}: per-kind counts do not add up"
+    );
     Measurement {
         name,
         sim_cycles: report.cycles.as_u64(),
         events: report.events,
-        dispatched: machine.events_dispatched(),
+        dispatched,
+        by_kind,
         wall_ms,
     }
 }
@@ -102,8 +116,8 @@ fn best_of(repeat: u32, build: impl Fn() -> Measurement) -> Measurement {
     for _ in 1..repeat {
         let next = build();
         assert_eq!(
-            (next.sim_cycles, next.events),
-            (best.sim_cycles, best.events),
+            (next.sim_cycles, next.events, next.by_kind),
+            (best.sim_cycles, best.events, best.by_kind),
             "{}: simulated results varied between repeats",
             best.name
         );
@@ -256,14 +270,14 @@ fn main() {
     let scale_label = if quick { "quick" } else { "paper" };
     eprintln!("throughput basket: {procs} processors ({scale_label} scale)");
 
-    let lockfree = BarSpec::new(SyncPolicy::Inv, Primitive::FetchPhi);
+    let inv_phi = BarSpec::new(SyncPolicy::Inv, Primitive::FetchPhi);
     let mcs = BarSpec::new(SyncPolicy::Inv, Primitive::Cas);
     let workloads = [
         best_of(repeat, || {
             counter_workload(
                 "counter-lockfree",
                 CounterKind::LockFree,
-                &lockfree,
+                &inv_phi,
                 procs,
                 4,
                 rounds,
@@ -271,6 +285,20 @@ fn main() {
         }),
         best_of(repeat, || {
             counter_workload("counter-mcs", CounterKind::McsLock, &mcs, procs, 4, rounds)
+        }),
+        // Figure 4's hardest point: every processor contends for one
+        // TTS lock, and each release invalidates every spinning sharer,
+        // so the run is coherence messages end to end. A quarter of the
+        // rounds keeps it from outweighing the rest of the basket.
+        best_of(repeat, || {
+            counter_workload(
+                "counter-tts",
+                CounterKind::TtsLock,
+                &inv_phi,
+                procs,
+                procs,
+                rounds / 4,
+            )
         }),
         best_of(repeat, || tclosure_workload("app-tclosure", procs, tc_size)),
     ];
@@ -280,6 +308,10 @@ fn main() {
         sim_cycles: workloads.iter().map(|m| m.sim_cycles).sum(),
         events: workloads.iter().map(|m| m.events).sum(),
         dispatched: workloads.iter().map(|m| m.dispatched).sum(),
+        by_kind: std::array::from_fn(|k| {
+            let name = workloads[0].by_kind[k].0;
+            (name, workloads.iter().map(|m| m.by_kind[k].1).sum())
+        }),
         wall_ms: workloads.iter().map(|m| m.wall_ms).sum(),
     };
     for m in workloads.iter().chain([&total]) {
@@ -293,6 +325,15 @@ fn main() {
             m.cycles_per_sec(),
             m.events_per_sec()
         );
+    }
+    eprintln!("  dispatched by kind:");
+    for m in workloads.iter().chain([&total]) {
+        let kinds: Vec<String> = m
+            .by_kind
+            .iter()
+            .map(|(kind, n)| format!("{kind} {n:>10}"))
+            .collect();
+        eprintln!("  {:<18} {}", m.name, kinds.join("  "));
     }
 
     let mut baseline_block = String::new();

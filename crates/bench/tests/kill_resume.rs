@@ -1,21 +1,24 @@
 //! Subprocess tests against the real `figures` binary.
 //!
 //! Crash safety: a sweep killed mid-run resumes at job granularity from
-//! the persistent disk cache (`DSM_CACHE_DIR`). Run `figures fig2 fig3`
-//! once without a cache for the reference output, run it again with a
-//! cache and SIGKILL it once the first entry lands, then re-run it on
-//! the same cache. The re-run's stdout must equal the reference byte
-//! for byte, and it must simulate exactly the jobs the killed run did
-//! not store. Both checks hold wherever the kill lands.
+//! the persistent disk cache (`DSM_CACHE_DIR`). Run `figures` once
+//! without a cache for the reference output, run it again with a cache
+//! and SIGKILL it once the first entry lands, then re-run it on the
+//! same cache. The re-run's stdout must equal the reference byte for
+//! byte, and it must simulate exactly the jobs the killed run did not
+//! store. Both checks hold wherever the kill lands. Entries are written
+//! as each job finishes, so a kill inside a single artifact's batch
+//! (`figures fig3`) keeps the jobs finished before it: the killed run's
+//! progress lines (`DSM_PROGRESS`) may count at most one job more than
+//! it stored, the one whose entry was being written.
 //!
 //! Command-line validation: unknown input exits 2 before anything is
 //! simulated or printed.
 
+use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
 use std::time::Duration;
-
-const ARGS: [&str; 4] = ["fig2", "fig3", "--jobs", "1"];
 
 fn figures() -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_figures"));
@@ -52,6 +55,16 @@ fn simulated(out: &Output) -> usize {
     before.rsplit(' ').next().unwrap().parse().unwrap()
 }
 
+/// The `X` of the last `dsm-runner: X/Y jobs done` progress line.
+fn jobs_done(stderr: &str) -> usize {
+    stderr
+        .lines()
+        .rev()
+        .filter_map(|l| l.strip_prefix("dsm-runner: "))
+        .find(|l| l.contains(" jobs done"))
+        .map_or(0, |l| l.split('/').next().unwrap().parse().unwrap())
+}
+
 fn succeeded(out: Output, what: &str) -> Output {
     assert!(
         out.status.success(),
@@ -62,19 +75,21 @@ fn succeeded(out: Output, what: &str) -> Output {
 }
 
 /// Uninterrupted reference → killed run → re-run on the killed run's
-/// cache: identical stdout, and the re-run simulates `N − k` jobs.
-#[test]
-fn killed_and_resumed_run_matches_uninterrupted_stdout() {
-    let reference = succeeded(figures().args(ARGS).output().unwrap(), "reference run");
+/// cache: identical stdout, and the re-run simulates `N − k` jobs. The
+/// killed run (one worker) must have stored every job it finished but
+/// the last. Returns `(N, k)`.
+fn kill_and_resume(args: &[&str], name: &str) -> (usize, usize) {
+    let reference = succeeded(figures().args(args).output().unwrap(), "reference run");
     let total = simulated(&reference);
     assert!(total > 0, "reference run simulated nothing");
 
-    let cache = scratch("cache");
+    let cache = scratch(name);
     let mut child = figures()
-        .args(ARGS)
+        .args(args)
         .env("DSM_CACHE_DIR", &cache)
+        .env("DSM_PROGRESS", "1")
         .stdout(Stdio::null())
-        .stderr(Stdio::null())
+        .stderr(Stdio::piped())
         .spawn()
         .unwrap();
     while child.try_wait().unwrap().is_none() {
@@ -87,10 +102,22 @@ fn killed_and_resumed_run_matches_uninterrupted_stdout() {
     child.wait().unwrap();
     let stored = entries(&cache);
     assert!(stored > 0, "the killed run stored no entry");
+    let mut progress = String::new();
+    child
+        .stderr
+        .take()
+        .unwrap()
+        .read_to_string(&mut progress)
+        .unwrap();
+    let done = jobs_done(&progress);
+    assert!(
+        done <= stored + 1,
+        "the killed run finished {done} jobs but stored only {stored}"
+    );
 
     let rerun = succeeded(
         figures()
-            .args(ARGS)
+            .args(args)
             .env("DSM_CACHE_DIR", &cache)
             .output()
             .unwrap(),
@@ -107,6 +134,23 @@ fn killed_and_resumed_run_matches_uninterrupted_stdout() {
         "every stored job must be served from disk ({stored} entries)"
     );
     let _ = std::fs::remove_dir_all(&cache);
+    (total, stored)
+}
+
+#[test]
+fn killed_and_resumed_run_matches_uninterrupted_stdout() {
+    kill_and_resume(&["fig2", "fig3", "--jobs", "1"], "cache");
+}
+
+/// Figure 3 is one batch of jobs. Killed at its first entry, the run
+/// has not finished the batch, and the re-run simulates only the rest.
+#[test]
+fn run_killed_inside_one_artifact_keeps_its_finished_jobs() {
+    let (total, stored) = kill_and_resume(&["fig3", "--jobs", "1"], "single");
+    assert!(
+        stored < total,
+        "the kill landed after all {total} jobs were stored"
+    );
 }
 
 /// Unknown flags and stray values exit 2 with the usage text on stderr

@@ -126,18 +126,17 @@ fn file_name(job_bytes: &[u8]) -> String {
     format!("{:016x}-{:08x}.job", h.finish(), env_fingerprint())
 }
 
-/// Looks a job up in the persistent store.
+/// Looks a job up in the persistent store at `dir` (the caller
+/// resolves it with [`dir`]).
 ///
-/// Returns `None` on every miss-like condition: store disabled, a
-/// Table 1 job, no entry on disk, a fingerprint collision with a
-/// different job, or a corrupt entry (which is quarantined first). The
-/// runner re-simulates in all of these cases — corruption can cost
-/// time, never correctness.
-pub(crate) fn load(job: &Job) -> Option<JobResult> {
+/// Returns `None` on every miss-like condition: a Table 1 job, no entry
+/// on disk, a fingerprint collision with a different job, or a corrupt
+/// entry (which is quarantined first). The runner re-simulates in all
+/// of these cases — corruption can cost time, never correctness.
+pub(crate) fn load(dir: &Path, job: &Job) -> Option<JobResult> {
     if matches!(job, Job::Table1 { .. }) {
         return None;
     }
-    let dir = dir()?;
     let job_bytes = encode_job(job);
     let path = dir.join(file_name(&job_bytes));
     let bytes = match snapshot::read(&path, PayloadKind::CacheEntry) {
@@ -155,12 +154,13 @@ pub(crate) fn load(job: &Job) -> Option<JobResult> {
     }
 }
 
-/// Persists one job's result, if it is persistable: the store must be
-/// enabled, the job must not be Table 1, and the result must not be a
-/// transient failure. Persistence is best-effort — an I/O error is
+/// Persists one job's result in the store at `dir`, if it is
+/// persistable: the job must not be Table 1, and the result must not be
+/// a transient failure. Persistence is best-effort — an I/O error is
 /// reported to stderr and the run continues; the entry is simply
-/// re-simulated by the next process.
-pub(crate) fn store(job: &Job, result: &JobResult) {
+/// re-simulated by the next process. Safe to call from several threads
+/// at once for distinct jobs: each entry has its own temporary file.
+pub(crate) fn store(dir: &Path, job: &Job, result: &JobResult) {
     if matches!(job, Job::Table1 { .. }) {
         return;
     }
@@ -169,7 +169,6 @@ pub(crate) fn store(job: &Job, result: &JobResult) {
             return;
         }
     }
-    let Some(dir) = dir() else { return };
     let job_bytes = encode_job(job);
     let path = dir.join(file_name(&job_bytes));
     let payload = encode_entry(&job_bytes, result);
@@ -797,24 +796,22 @@ mod tests {
     fn store_and_load_round_trip_on_disk() {
         let dir = std::env::temp_dir().join(format!("dsm-diskcache-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        with_cache_dir(Some(&dir), || {
-            let job = counter_job(false);
-            assert!(load(&job).is_none(), "cold store must miss");
-            let mut latency = LatencyHist::new();
-            latency.record_n(41, 16);
-            let out = Ok(JobOutput::Counter(CounterPoint {
-                bar: BarSpec::new(SyncPolicy::Unc, Primitive::FetchPhi),
-                avg_cycles: 41.5,
-                updates: 16,
-                cycles: 664,
-                latency,
-            }));
-            store(&job, &out);
-            let back = load(&job).expect("warm store must hit");
-            let p = back.unwrap().into_counter();
-            assert_eq!(p.cycles, 664);
-            assert_eq!(p.avg_cycles.to_bits(), 41.5f64.to_bits());
-        });
+        let job = counter_job(false);
+        assert!(load(&dir, &job).is_none(), "cold store must miss");
+        let mut latency = LatencyHist::new();
+        latency.record_n(41, 16);
+        let out = Ok(JobOutput::Counter(CounterPoint {
+            bar: BarSpec::new(SyncPolicy::Unc, Primitive::FetchPhi),
+            avg_cycles: 41.5,
+            updates: 16,
+            cycles: 664,
+            latency,
+        }));
+        store(&dir, &job, &out);
+        let back = load(&dir, &job).expect("warm store must hit");
+        let p = back.unwrap().into_counter();
+        assert_eq!(p.cycles, 664);
+        assert_eq!(p.avg_cycles.to_bits(), 41.5f64.to_bits());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -822,26 +819,26 @@ mod tests {
     fn transient_failures_and_table1_are_never_persisted() {
         let dir = std::env::temp_dir().join(format!("dsm-diskcache-tr-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        with_cache_dir(Some(&dir), || {
-            store(
-                &counter_job(false),
-                &Err(JobError {
-                    job: "j".into(),
-                    message: "wall-clock budget exhausted".into(),
-                    transient: true,
-                }),
-            );
-            store(
-                &Job::table1(0),
-                &Ok(JobOutput::Table1(crate::experiments::table1::run_scenario(
-                    0,
-                ))),
-            );
-            assert!(
-                !dir.exists() || std::fs::read_dir(&dir).unwrap().next().is_none(),
-                "nothing may be written for transient failures or table-1 rows"
-            );
-        });
+        store(
+            &dir,
+            &counter_job(false),
+            &Err(JobError {
+                job: "j".into(),
+                message: "wall-clock budget exhausted".into(),
+                transient: true,
+            }),
+        );
+        store(
+            &dir,
+            &Job::table1(0),
+            &Ok(JobOutput::Table1(crate::experiments::table1::run_scenario(
+                0,
+            ))),
+        );
+        assert!(
+            !dir.exists() || std::fs::read_dir(&dir).unwrap().next().is_none(),
+            "nothing may be written for transient failures or table-1 rows"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -849,32 +846,33 @@ mod tests {
     fn corrupt_entry_is_quarantined_and_reads_as_miss() {
         let dir = std::env::temp_dir().join(format!("dsm-diskcache-q-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        with_cache_dir(Some(&dir), || {
-            let job = counter_job(false);
-            let out = Ok(JobOutput::Counter(CounterPoint {
-                bar: BarSpec::new(SyncPolicy::Unc, Primitive::FetchPhi),
-                avg_cycles: 1.0,
-                updates: 1,
-                cycles: 1,
-                latency: LatencyHist::new(),
-            }));
-            store(&job, &out);
-            let path = dir.join(file_name(&encode_job(&job)));
-            // Flip one payload bit on disk.
-            let mut bytes = std::fs::read(&path).unwrap();
-            let mid = bytes.len() / 2;
-            bytes[mid] ^= 0x10;
-            std::fs::write(&path, &bytes).unwrap();
-            assert!(load(&job).is_none(), "corrupt entry must read as a miss");
-            assert!(!path.exists(), "corrupt entry must be moved away");
-            assert!(
-                dir.join("quarantined").exists(),
-                "corrupt entry must be quarantined for diagnosis"
-            );
-            // The job can be stored and served again afterwards.
-            store(&job, &out);
-            assert!(load(&job).is_some());
-        });
+        let job = counter_job(false);
+        let out = Ok(JobOutput::Counter(CounterPoint {
+            bar: BarSpec::new(SyncPolicy::Unc, Primitive::FetchPhi),
+            avg_cycles: 1.0,
+            updates: 1,
+            cycles: 1,
+            latency: LatencyHist::new(),
+        }));
+        store(&dir, &job, &out);
+        let path = dir.join(file_name(&encode_job(&job)));
+        // Flip one payload bit on disk.
+        let mut bytes = std::fs::read(&path).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x10;
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(
+            load(&dir, &job).is_none(),
+            "corrupt entry must read as a miss"
+        );
+        assert!(!path.exists(), "corrupt entry must be moved away");
+        assert!(
+            dir.join("quarantined").exists(),
+            "corrupt entry must be quarantined for diagnosis"
+        );
+        // The job can be stored and served again afterwards.
+        store(&dir, &job, &out);
+        assert!(load(&dir, &job).is_some());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

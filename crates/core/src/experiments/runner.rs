@@ -880,14 +880,20 @@ pub fn try_run_all(jobs: &[Job]) -> Vec<JobResult> {
         }
     }
 
-    // Probe the persistent store for the misses. Disk I/O stays on the
-    // calling thread: entries are read before the fan-out and written
-    // after it, so workers never contend on the filesystem and the
-    // thread-local test overrides (cache dir, retry budget) apply.
+    // Probe the persistent store for the misses. The cache directory,
+    // like the retry budget and the reproducer directory, is resolved
+    // here on the calling thread, so its thread-local test override
+    // applies, and handed to the workers. Each worker persists a result
+    // as soon as its job finishes: a run killed part-way through a
+    // batch keeps every job it finished.
+    let cache_dir = diskcache::dir();
     let mut fresh: HashMap<Job, JobResult> = HashMap::new();
     let mut to_run: Vec<Job> = Vec::new();
     for job in misses {
-        match diskcache::load(&job) {
+        match cache_dir
+            .as_deref()
+            .and_then(|dir| diskcache::load(dir, &job))
+        {
             Some(result) => {
                 fresh.insert(job, result);
             }
@@ -900,12 +906,13 @@ pub fn try_run_all(jobs: &[Job]) -> Vec<JobResult> {
         let budget = retry_budget();
         let repro_dir = repro::dir();
         let outputs = fan_out(&to_run, workers(), |job| {
-            try_execute_counted(job, budget, repro_dir.as_deref())
+            let out = try_execute_counted(job, budget, repro_dir.as_deref());
+            if let Some(dir) = &cache_dir {
+                diskcache::store(dir, job, &out);
+            }
+            out
         });
-        for (job, out) in to_run.into_iter().zip(outputs) {
-            diskcache::store(&job, &out);
-            fresh.insert(job, out);
-        }
+        fresh.extend(to_run.into_iter().zip(outputs));
     }
 
     // Publish cacheable fresh results (simulated or disk-loaded) to the

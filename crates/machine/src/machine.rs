@@ -266,19 +266,25 @@ fn key_barrier(node: u32) -> u128 {
     (u128::from(node) << 96) | (3u128 << RANK_SHIFT) | u128::from(node)
 }
 
+/// A pending simulation event: a queue entry's payload.
+///
+/// Message events hold a `Box<Msg>` from [`Core`]'s recycling pool, so
+/// an event stays three words (24 bytes) however large the message: a
+/// `Msg` (up to 128 bytes) transits the queue two or three times, and
+/// the wheel moves events, not messages. The message itself is still
+/// copied by value into and out of its box once per hop (outbox to
+/// box at launch, box to handler at processing), which is why its
+/// size is pinned in `dsm-protocol`.
 #[derive(Debug)]
 enum Event {
     /// A message's head flit reached its destination's network exit
     /// port (split-phase network, phase 2 pending): dispatching it runs
     /// [`NetPorts::eject`] to serialize it through the exit port and
-    /// learn the delivery time.
-    Wire(Box<Msg>),
+    /// learn the delivery time. The second field is the message's flit
+    /// count, computed once at launch; it is a function of the message
+    /// and the machine parameters, so the state digest omits it.
+    Wire(Box<Msg>, u64),
     /// A message arrived at its destination (exit port included).
-    ///
-    /// Messages are boxed so a queue entry stays pointer-sized: every
-    /// message transits the queue two or three times and a `Msg` is
-    /// over a hundred bytes, so by-value events would memcpy each
-    /// message through the heap several extra times.
     Deliver(Box<Msg>),
     /// A server (memory module or cache controller) finished processing
     /// a message. The second field is the operation span the message
@@ -293,11 +299,27 @@ enum Event {
     /// A processor's outstanding operation completed.
     ///
     /// Boxed for the same reason as messages: completions outnumber
-    /// every other event in cache-friendly workloads, and a slim queue
-    /// entry halves the bytes the time wheel has to shuffle per event.
-    /// The boxes come from (and return to) a recycling pool, so no
-    /// allocation happens at steady state.
+    /// every other event in cache-friendly workloads, and a slim event
+    /// keeps the slab entries the time wheel touches small. The boxes
+    /// come from (and return to) a recycling pool, so no allocation
+    /// happens at steady state.
     OpDone(ProcId, Box<OpOutcome>),
+}
+
+/// Names of the [`Event`] kinds, indexed by [`Event::kind`].
+const EVENT_KINDS: [&str; 5] = ["Wire", "Deliver", "Process", "ProcStep", "OpDone"];
+
+impl Event {
+    /// This event's index into [`EVENT_KINDS`].
+    fn kind(&self) -> usize {
+        match self {
+            Event::Wire(..) => 0,
+            Event::Deliver(_) => 1,
+            Event::Process(..) => 2,
+            Event::ProcStep(_) => 3,
+            Event::OpDone(..) => 4,
+        }
+    }
 }
 
 /// The debug message-trace ring buffer: `(capacity, entries)`.
@@ -411,6 +433,8 @@ struct Core {
     /// Events counted in `events_processed` that parking applied
     /// without dispatching them.
     elided: u64,
+    /// Dispatched events per kind, in [`EVENT_KINDS`] order.
+    dispatched: [u64; EVENT_KINDS.len()],
     /// Structured event tracer (`--trace` / `DSM_TRACE`), boxed so the
     /// disabled case costs one pointer and one never-taken branch per
     /// instrumentation site.
@@ -478,6 +502,7 @@ impl Core {
     /// the event may have released a barrier: a processor arrived at
     /// one or terminated.
     fn dispatch(&mut self, key: u128, event: Event) -> Result<bool, RunError> {
+        self.dispatched[event.kind()] += 1;
         match event {
             Event::ProcStep(p) => return self.proc_step(p),
             Event::OpDone(p, outcome) => {
@@ -485,7 +510,7 @@ impl Core {
                 self.outcome_pool.push(outcome);
                 self.op_done(p, o)?;
             }
-            Event::Wire(msg) => self.wire(key, msg),
+            Event::Wire(msg, flits) => self.wire(key, msg, flits),
             Event::Deliver(msg) => self.deliver(msg),
             Event::Process(msg, span) => self.process(msg, span)?,
         }
@@ -545,15 +570,15 @@ impl Core {
             }
             let key = key_wire(msg.dst, msg.src, seq);
             let boxed = self.box_msg(msg);
-            self.events.push_keyed(wire_at, key, Event::Wire(boxed));
+            self.events
+                .push_keyed(wire_at, key, Event::Wire(boxed, flits));
         }
     }
 
     /// Phase 2 of the split-phase network: the destination serializes
     /// the arrived message through its exit port. When the exit port is
     /// free the message is delivered inline (no extra queue transit).
-    fn wire(&mut self, key: u128, msg: Box<Msg>) {
-        let flits = msg.flits(&self.cfg.params);
+    fn wire(&mut self, key: u128, msg: Box<Msg>, flits: u64) {
         let delivered = self
             .ports
             .eject(&self.cfg.params, self.now, msg.src, msg.dst, flits);
@@ -1389,6 +1414,7 @@ impl MachineBuilder {
             park_bound: None,
             parked: 0,
             elided: 0,
+            dispatched: [0; EVENT_KINDS.len()],
             tracer,
             ring: None,
             injector,
@@ -1801,6 +1827,14 @@ impl Machine {
         self.core.events_processed - self.core.elided
     }
 
+    /// Dispatched events since construction, per event kind: `Wire`
+    /// (a message reached its destination's exit port), `Deliver`,
+    /// `Process` (a server handled a message), `ProcStep` and `OpDone`.
+    /// The counts sum to [`events_dispatched`](Self::events_dispatched).
+    pub fn dispatched_by_kind(&self) -> [(&'static str, u64); EVENT_KINDS.len()] {
+        std::array::from_fn(|i| (EVENT_KINDS[i], self.core.dispatched[i]))
+    }
+
     /// A digest of the machine's complete dynamic state: simulated
     /// time, the pending event queue, network ports, every cache, home
     /// directory and memory line, LL/SC reservations, per-processor
@@ -1840,7 +1874,7 @@ impl Machine {
                     h.write_u32(p.as_u32());
                     o.digest(h);
                 }
-                Event::Wire(m) => {
+                Event::Wire(m, _flits) => {
                     h.write_u8(4);
                     m.digest(h);
                 }

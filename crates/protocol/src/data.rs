@@ -2,6 +2,7 @@
 
 use crate::types::Value;
 use dsm_sim::Addr;
+use std::num::NonZeroU32;
 
 /// Words stored inline before spilling to the heap. Every configuration
 /// the paper (and this repo's harness) uses has 32-byte lines = 4 words,
@@ -10,12 +11,17 @@ const INLINE_WORDS: usize = 4;
 
 /// The data contents of one cache line, as an array of 64-bit words.
 ///
-/// Lines travel inside coherence messages and live in caches and memory
-/// modules, so they are copied on the simulator's hottest paths. Up to
-/// `INLINE_WORDS` (4) words (32-byte lines — every configuration in
-/// use)
-/// are stored inline, making `clone` a flat memcpy with no heap
-/// traffic; larger lines spill to a heap vector and keep working.
+/// Lines travel by value inside coherence messages and live in caches
+/// and memory modules, so they are copied on the simulator's hottest
+/// paths. Up to `INLINE_WORDS` (4) words (32-byte lines — every
+/// configuration in use) are stored inline, so `clone` copies a flat
+/// record with no heap traffic; larger lines spill to a heap vector
+/// and keep working. The record is kept to 48 bytes — the spill sits
+/// behind one thin pointer and the size is a nonzero `u32`, which also
+/// gives `Option<LineData>` a free niche — so that a [`Msg`] carrying
+/// a line stays within 128 bytes (see the size test in `msg.rs`).
+///
+/// [`Msg`]: crate::Msg
 ///
 /// All atomic primitives operate on single words within a line.
 ///
@@ -34,10 +40,15 @@ const INLINE_WORDS: usize = 4;
 pub struct LineData {
     /// Inline storage, used in full or in part when the line fits.
     inline: [Value; INLINE_WORDS],
-    /// Heap spill for lines wider than `INLINE_WORDS` words; empty (and
-    /// never allocated) otherwise.
-    spill: Vec<Value>,
-    line_size: u64,
+    /// Heap spill for lines wider than `INLINE_WORDS` words; `None`
+    /// (and never allocated) otherwise. The box is the point: it keeps
+    /// the field one thin pointer instead of a three-word `Vec` or a
+    /// two-word boxed slice, so clippy's box_collection (which assumes
+    /// the indirection is accidental) does not apply.
+    #[allow(clippy::box_collection)]
+    spill: Option<Box<Vec<Value>>>,
+    /// The line size in bytes.
+    line_size: NonZeroU32,
 }
 
 impl LineData {
@@ -45,36 +56,37 @@ impl LineData {
     ///
     /// # Panics
     ///
-    /// Panics if `line_size` is not a positive multiple of 8.
+    /// Panics if `line_size` is not a positive multiple of 8, or does
+    /// not fit in 32 bits.
     pub fn zeroed(line_size: u64) -> Self {
         assert!(
             line_size > 0 && line_size.is_multiple_of(8),
             "line size must be a multiple of 8 bytes"
         );
+        let size = u32::try_from(line_size)
+            .ok()
+            .and_then(NonZeroU32::new)
+            .expect("line size must fit in 32 bits");
         let words = (line_size / 8) as usize;
         LineData {
             inline: [0; INLINE_WORDS],
-            spill: if words > INLINE_WORDS {
-                vec![0; words]
-            } else {
-                Vec::new()
-            },
-            line_size,
+            spill: (words > INLINE_WORDS).then(|| Box::new(vec![0; words])),
+            line_size: size,
         }
     }
 
     /// The line size in bytes.
     pub fn size(&self) -> u64 {
-        self.line_size
+        u64::from(self.line_size.get())
     }
 
     /// Number of words in the line.
     pub fn word_count(&self) -> usize {
-        (self.line_size / 8) as usize
+        (self.line_size.get() / 8) as usize
     }
 
     fn index(&self, addr: Addr) -> usize {
-        let off = addr.offset_in_line(self.line_size);
+        let off = addr.offset_in_line(self.size());
         debug_assert_eq!(off % 8, 0, "atomic operations must be word-aligned");
         (off / 8) as usize
     }
@@ -92,16 +104,15 @@ impl LineData {
 
     /// Immutable view of all words.
     pub fn words(&self) -> &[Value] {
-        if self.spill.is_empty() {
-            &self.inline[..self.word_count()]
-        } else {
-            &self.spill
+        match &self.spill {
+            Some(spill) => spill,
+            None => &self.inline[..self.word_count()],
         }
     }
 
     /// Folds the line's size and contents into a state digest.
     pub fn digest(&self, h: &mut dsm_sim::StableHasher) {
-        h.write_u64(self.line_size);
+        h.write_u64(self.size());
         for &w in self.words() {
             h.write_u64(w);
         }
@@ -109,11 +120,10 @@ impl LineData {
 
     /// Mutable view of all words.
     fn words_mut(&mut self) -> &mut [Value] {
-        if self.spill.is_empty() {
-            let n = self.word_count();
-            &mut self.inline[..n]
-        } else {
-            &mut self.spill
+        let n = self.word_count();
+        match &mut self.spill {
+            Some(spill) => spill,
+            None => &mut self.inline[..n],
         }
     }
 }
@@ -131,7 +141,7 @@ impl Eq for LineData {}
 
 impl std::hash::Hash for LineData {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.line_size.hash(state);
+        self.size().hash(state);
         self.words().hash(state);
     }
 }

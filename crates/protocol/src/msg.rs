@@ -595,6 +595,25 @@ mod tests {
     }
 
     #[test]
+    fn hot_records_fit_in_128_bytes() {
+        // A message is moved by value several times per hop: into the
+        // outbox, into a pooled box, out of it again. On x86-64 a copy
+        // of up to 128 bytes compiles to inline moves; above that it
+        // becomes a `memcpy` call, which showed up as a tenth of the
+        // simulator's host time. The line payload is what sets the
+        // size, so it is pinned too.
+        assert!(std::mem::size_of::<Msg>() <= 128, "Msg grew past 128 bytes");
+        assert!(
+            std::mem::size_of::<LineData>() <= 48,
+            "LineData grew past 48 bytes"
+        );
+        assert_eq!(
+            std::mem::size_of::<Option<LineData>>(),
+            std::mem::size_of::<LineData>()
+        );
+    }
+
+    #[test]
     fn control_messages_have_no_payload() {
         assert_eq!(MsgKind::GetS.payload_bytes(32), 0);
         assert_eq!(MsgKind::InvAck.payload_bytes(32), 0);

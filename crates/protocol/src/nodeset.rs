@@ -22,7 +22,7 @@ use std::fmt;
 /// s.remove(NodeId::new(3));
 /// assert!(!s.contains(NodeId::new(3)));
 /// ```
-#[derive(Clone, Default, PartialEq, Eq, Hash)]
+#[derive(Clone, Default)]
 pub struct NodeSet {
     words: Vec<u64>,
 }
@@ -83,13 +83,30 @@ impl NodeSet {
         self.words.clear();
     }
 
-    /// Iterates members in ascending order.
+    /// Iterates members in ascending order, one step per member.
     pub fn iter(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            (0..64)
-                .filter(move |b| w & (1u64 << b) != 0)
-                .map(move |b| NodeId::new((wi * 64 + b) as u32))
+            let mut bits = w;
+            std::iter::from_fn(move || {
+                if bits == 0 {
+                    return None;
+                }
+                let b = bits.trailing_zeros();
+                bits &= bits - 1;
+                Some(NodeId::new(wi as u32 * 64 + b))
+            })
         })
+    }
+
+    /// The words up to the last nonzero one: the members, whatever
+    /// capacity earlier members left behind.
+    fn significant_words(&self) -> &[u64] {
+        let n = self
+            .words
+            .iter()
+            .rposition(|&w| w != 0)
+            .map_or(0, |i| i + 1);
+        &self.words[..n]
     }
 
     /// Folds the set's members into a state digest. Trailing
@@ -111,6 +128,22 @@ impl NodeSet {
         } else {
             None
         }
+    }
+}
+
+// Manual impls: equality and hashing must see the members only, like
+// `digest`, so a set that grew and shrank equals a fresh one.
+impl PartialEq for NodeSet {
+    fn eq(&self, other: &Self) -> bool {
+        self.significant_words() == other.significant_words()
+    }
+}
+
+impl Eq for NodeSet {}
+
+impl std::hash::Hash for NodeSet {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.significant_words().hash(state);
     }
 }
 
@@ -168,6 +201,32 @@ mod tests {
     }
 
     #[test]
+    fn equality_and_hash_see_members_only() {
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
+        let hash = |s: &NodeSet| {
+            let mut h = DefaultHasher::new();
+            s.hash(&mut h);
+            h.finish()
+        };
+        // Grown past 64 nodes, then emptied: equal to a fresh set.
+        let mut s = NodeSet::new();
+        s.insert(NodeId::new(70));
+        s.remove(NodeId::new(70));
+        assert_eq!(s, NodeSet::new());
+        assert_eq!(hash(&s), hash(&NodeSet::new()));
+        // Same members, different capacity history.
+        s.insert(NodeId::new(3));
+        let fresh = NodeSet::singleton(NodeId::new(3));
+        assert_eq!(s, fresh);
+        assert_eq!(hash(&s), hash(&fresh));
+        assert_ne!(s, NodeSet::singleton(NodeId::new(4)));
+        // Sets that differ only above 64 nodes still differ.
+        let wide = NodeSet::from_iter([NodeId::new(3), NodeId::new(70)]);
+        assert_ne!(wide, fresh);
+    }
+
+    #[test]
     fn sole_member() {
         let mut s = NodeSet::singleton(NodeId::new(9));
         assert_eq!(s.sole_member(), Some(NodeId::new(9)));
@@ -206,6 +265,8 @@ mod tests {
             prop_assert_eq!(ours.len(), reference.len());
             let got: Vec<u32> = ours.iter().map(|n| n.as_u32()).collect();
             let want: Vec<u32> = reference.into_iter().collect();
+            let rebuilt: NodeSet = want.iter().map(|&n| NodeId::new(n)).collect();
+            prop_assert_eq!(&ours, &rebuilt);
             prop_assert_eq!(got, want);
         }
     }

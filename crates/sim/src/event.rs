@@ -3,22 +3,35 @@
 //! The queue is the single hottest structure in the simulator: every
 //! message delivery, server completion and processor step goes through
 //! one `push` and one `pop`. It is implemented as a bucketed time wheel
-//! — a ring of per-cycle FIFO buckets covering the near future, which
-//! turns the common case (events scheduled a few tens of cycles ahead)
-//! into O(1) deque operations — with a binary-heap fallback for events
+//! — a ring of per-cycle buckets covering the near future, which turns
+//! the common case (events scheduled a few tens of cycles ahead) into
+//! O(1) list operations — with a binary-heap fallback for events
 //! beyond the wheel horizon (long compute phases, backoff waits).
+//!
+//! The buckets own no storage. Every wheel event lives in one slab of
+//! entries shared by all buckets; a bucket is a head and tail index
+//! into it, its entries linked in ascending key order. Popped entries
+//! go to a free list, so the wheel's memory follows the most events
+//! ever pending at once (a few dozen to a few hundred in practice),
+//! not the bucket count, and stays within the L1 cache. An occupancy
+//! bitmap with one bit per bucket finds the next nonempty bucket a
+//! word at a time.
 
 use crate::hash::StableHasher;
 use crate::time::Cycle;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
-/// Cycles covered by the near-future wheel. Must be a power of two.
+/// Cycles covered by the near-future wheel. Must be a multiple of 64.
 /// Network and memory latencies are tens of cycles, so virtually all
 /// protocol traffic lands in the wheel; only long compute delays and
 /// pathological backoffs spill to the far heap.
 const WHEEL_SIZE: usize = 1024;
 const WHEEL_MASK: usize = WHEEL_SIZE - 1;
+/// Words of the bucket occupancy bitmap.
+const OCC_WORDS: usize = WHEEL_SIZE / 64;
+/// The null slab index: end of a bucket list or of the free list.
+const NIL: u32 = u32::MAX;
 
 /// A priority queue of timestamped events with deterministic ordering.
 ///
@@ -32,12 +45,13 @@ const WHEEL_MASK: usize = WHEEL_SIZE - 1;
 /// order makes every simulation run reproducible bit-for-bit from its
 /// inputs, which the experiment harness relies on.
 ///
-/// Internally both the wheel buckets (kept sorted ascending by key, so
+/// Internally both the wheel buckets (linked in ascending key order, so
 /// peeking and popping the next key are O(1); pushes append in O(1) in
-/// the common case of ascending same-cycle arrivals and binary-insert
-/// otherwise) and the far heap (ordered by `(cycle, key)`) respect the
-/// key, so the wheel/heap split is invisible to callers: the pop order
-/// is identical to a single `(cycle, key)`-ordered heap.
+/// the common case of ascending same-cycle arrivals, prepend in O(1)
+/// below the bucket's minimum, and walk the list otherwise) and the far
+/// heap (ordered by `(cycle, key)`) respect the key, so the wheel/heap
+/// split is invisible to callers: the pop order is identical to a
+/// single `(cycle, key)`-ordered heap.
 ///
 /// # Example
 ///
@@ -55,10 +69,16 @@ const WHEEL_MASK: usize = WHEEL_SIZE - 1;
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
     /// Near-future buckets; the bucket for cycle `t` (when `t` is within
-    /// `[base, base + WHEEL_SIZE)`) is `wheel[t & WHEEL_MASK]`. Each
-    /// bucket holds events of a single cycle sorted ascending by
-    /// tie-break key, so the front is always the next event to pop.
-    wheel: Vec<VecDeque<(u128, E)>>,
+    /// `[base, base + WHEEL_SIZE)`) is `buckets[t & WHEEL_MASK]`. Each
+    /// bucket lists events of a single cycle in ascending tie-break
+    /// key, so its head is always the next event to pop.
+    buckets: Vec<Bucket>,
+    /// Bit `i` is set iff `buckets[i]` is nonempty.
+    occupied: [u64; OCC_WORDS],
+    /// Entries of every wheel bucket, plus free slots.
+    slab: Vec<Slot<E>>,
+    /// Head of the free-slot list (linked through [`Slot::next`]).
+    free: u32,
     /// The earliest cycle the wheel can currently hold. Only moves
     /// forward.
     base: u64,
@@ -69,6 +89,24 @@ pub struct EventQueue<E> {
     /// running simulation but is still handled correctly).
     far: BinaryHeap<Entry<E>>,
     next_seq: u64,
+}
+
+/// One wheel bucket: the first and last slab index of its list. Both
+/// are meaningful only while the bucket's occupancy bit is set.
+#[derive(Debug, Clone, Copy)]
+struct Bucket {
+    head: u32,
+    tail: u32,
+}
+
+/// A slab entry: a pending wheel event, or (with `event` empty) a free
+/// slot.
+#[derive(Debug, Clone)]
+struct Slot<E> {
+    key: u128,
+    /// The next entry of the same bucket, or the next free slot.
+    next: u32,
+    event: Option<E>,
 }
 
 #[derive(Debug, Clone)]
@@ -98,7 +136,16 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         EventQueue {
-            wheel: (0..WHEEL_SIZE).map(|_| VecDeque::new()).collect(),
+            buckets: vec![
+                Bucket {
+                    head: NIL,
+                    tail: NIL
+                };
+                WHEEL_SIZE
+            ],
+            occupied: [0; OCC_WORDS],
+            slab: Vec::new(),
+            free: NIL,
             base: 0,
             wheel_len: 0,
             far: BinaryHeap::new(),
@@ -107,7 +154,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Creates an empty queue pre-sized for `capacity` concurrently
-    /// pending events (the wheel buckets still grow on demand; the
+    /// pending events (the wheel slab still grows on demand; the
     /// far-heap allocation is reserved up front).
     pub fn with_capacity(capacity: usize) -> Self {
         let mut q = Self::new();
@@ -136,23 +183,75 @@ impl<E> EventQueue<E> {
             self.base = t;
         }
         if t >= self.base && t - self.base < WHEEL_SIZE as u64 {
-            let bucket = &mut self.wheel[t as usize & WHEEL_MASK];
-            // Follow-on events are pushed while draining events in
-            // ascending key order, so same-cycle arrivals are usually
-            // ascending too: appending keeps the bucket sorted for
-            // free. Out-of-order arrivals binary-insert.
-            if bucket.back().is_none_or(|&(k, _)| k < key) {
-                bucket.push_back((key, event));
-            } else {
-                let pos = bucket.partition_point(|&(k, _)| k < key);
-                bucket.insert(pos, (key, event));
-            }
-            self.wheel_len += 1;
+            self.wheel_insert(t as usize & WHEEL_MASK, key, event);
         } else {
             self.far.push(Entry {
                 key: Reverse((at, key)),
                 event,
             });
+        }
+    }
+
+    /// Links a new entry into bucket `b`, keeping the list sorted.
+    fn wheel_insert(&mut self, b: usize, key: u128, event: E) {
+        let idx = self.alloc(key, event);
+        self.wheel_len += 1;
+        let (w, bit) = (b / 64, 1u64 << (b % 64));
+        if self.occupied[w] & bit == 0 {
+            self.occupied[w] |= bit;
+            self.buckets[b] = Bucket {
+                head: idx,
+                tail: idx,
+            };
+            return;
+        }
+        let Bucket { head, tail } = self.buckets[b];
+        // Follow-on events are pushed while draining events in
+        // ascending key order, so same-cycle arrivals are usually
+        // ascending too: appending keeps the bucket sorted for free.
+        // Out-of-order arrivals go in front of the first entry whose
+        // key is not below theirs.
+        if self.slab[tail as usize].key < key {
+            self.slab[tail as usize].next = idx;
+            self.buckets[b].tail = idx;
+        } else if key <= self.slab[head as usize].key {
+            self.slab[idx as usize].next = head;
+            self.buckets[b].head = idx;
+        } else {
+            // head.key < key <= tail.key: the walk stops at or before
+            // the tail.
+            let mut prev = head;
+            loop {
+                let next = self.slab[prev as usize].next;
+                if self.slab[next as usize].key >= key {
+                    break;
+                }
+                prev = next;
+            }
+            self.slab[idx as usize].next = self.slab[prev as usize].next;
+            self.slab[prev as usize].next = idx;
+        }
+    }
+
+    /// Takes a slot for a new entry, reusing a free one when there is
+    /// one. The entry's `next` is [`NIL`].
+    fn alloc(&mut self, key: u128, event: E) -> u32 {
+        let slot = Slot {
+            key,
+            next: NIL,
+            event: Some(event),
+        };
+        if self.free == NIL {
+            let idx = u32::try_from(self.slab.len())
+                .ok()
+                .filter(|&i| i != NIL)
+                .expect("event queue slab overflow");
+            self.slab.push(slot);
+            idx
+        } else {
+            let idx = self.free;
+            self.free = std::mem::replace(&mut self.slab[idx as usize], slot).next;
+            idx
         }
     }
 
@@ -188,44 +287,64 @@ impl<E> EventQueue<E> {
     }
 
     /// Removes and returns the minimum-key event of the bucket `base`
-    /// currently rests on — the sorted bucket's front, O(1).
+    /// currently rests on — the list head, O(1) — and frees its slot.
     fn take_wheel_min(&mut self) -> (Cycle, u128, E) {
-        let bucket = &mut self.wheel[self.base as usize & WHEEL_MASK];
-        let (key, event) = bucket.pop_front().expect("nonempty bucket");
+        let b = self.base as usize & WHEEL_MASK;
+        let idx = self.buckets[b].head;
+        let slot = &mut self.slab[idx as usize];
+        let (key, next) = (slot.key, slot.next);
+        let event = slot.event.take().expect("listed slot holds an event");
+        slot.next = self.free;
+        self.free = idx;
+        if next == NIL {
+            self.occupied[b / 64] &= !(1u64 << (b % 64));
+        } else {
+            self.buckets[b].head = next;
+        }
         self.wheel_len -= 1;
         (Cycle::new(self.base), key, event)
     }
 
+    /// Cycles from `base` to the earliest nonempty bucket. The wheel
+    /// must hold at least one event.
+    fn first_occupied_offset(&self) -> u64 {
+        let start = self.base as usize & WHEEL_MASK;
+        let (w0, b0) = (start / 64, start % 64);
+        // Test words in ring order from the starting word: first its
+        // bits at or after `start`, last (wrapped around) its bits
+        // before `start`, the far end of the window.
+        for step in 0..=OCC_WORDS {
+            let w = (w0 + step) % OCC_WORDS;
+            let mut word = self.occupied[w];
+            if step == 0 {
+                word &= !0u64 << b0;
+            } else if step == OCC_WORDS {
+                word &= !(!0u64 << b0);
+            }
+            if word != 0 {
+                let b = w * 64 + word.trailing_zeros() as usize;
+                return ((b + WHEEL_SIZE - start) & WHEEL_MASK) as u64;
+            }
+        }
+        unreachable!("wheel_len > 0 but no bucket is occupied")
+    }
+
     /// Advances the wheel window over leading empty buckets until it
     /// rests on the earliest wheel event, and returns that event's
-    /// `(cycle, key)`. Advancing is amortized O(1) (each bucket is
-    /// skipped at most once per run); the minimum key is the resting
-    /// sorted bucket's front, O(1).
+    /// `(cycle, key)`. The bitmap finds the bucket in at most
+    /// `OCC_WORDS` word tests; the minimum key is its list head, O(1).
     fn earliest_wheel_key(&mut self) -> Option<(u64, u128)> {
         if self.wheel_len == 0 {
             return None;
         }
-        loop {
-            let bucket = &self.wheel[self.base as usize & WHEEL_MASK];
-            if let Some(&(key, _)) = bucket.front() {
-                return Some((self.base, key));
-            }
-            self.base += 1;
-        }
+        self.base += self.first_occupied_offset();
+        let head = self.buckets[self.base as usize & WHEEL_MASK].head;
+        Some((self.base, self.slab[head as usize].key))
     }
 
     /// Returns the time of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<Cycle> {
-        let mut earliest: Option<u64> = None;
-        if self.wheel_len > 0 {
-            for i in 0..WHEEL_SIZE as u64 {
-                let t = self.base + i;
-                if !self.wheel[t as usize & WHEEL_MASK].is_empty() {
-                    earliest = Some(t);
-                    break;
-                }
-            }
-        }
+        let earliest = (self.wheel_len > 0).then(|| self.base + self.first_occupied_offset());
         match (earliest, self.far.peek().map(|e| (e.key.0 .0).as_u64())) {
             (Some(w), Some(f)) => Some(Cycle::new(w.min(f))),
             (Some(w), None) => Some(Cycle::new(w)),
@@ -247,13 +366,15 @@ impl<E> EventQueue<E> {
     /// Feeds the queue's complete pending-event state into `h`, using
     /// `f` to hash each event payload.
     ///
-    /// Events are visited in pop order — `(cycle, key)` — and each is
-    /// hashed together with its cycle and key, so two queues digest
-    /// equal iff they would pop the identical timestamped event stream.
-    /// The wheel/heap split, the window base and bucket layout are
-    /// implementation details and do not enter the digest. The
-    /// insertion counter *is* included: it determines the tie-break
-    /// order of future auto-keyed pushes.
+    /// Wheel events are visited first, then far-heap events, each part
+    /// in pop order — `(cycle, key)` — and each event is hashed together
+    /// with its cycle and key. That is the queue's pop order unless a
+    /// far-heap event (pushed beyond the horizon before the window
+    /// caught up with it) sorts before a wheel event; only then does the
+    /// wheel/heap split show in the digest. The window base, bucket
+    /// layout and slab slots do not enter it. The insertion counter
+    /// *is* included: it determines the tie-break order of future
+    /// auto-keyed pushes.
     pub fn digest_with(&self, h: &mut StableHasher, mut f: impl FnMut(&E, &mut StableHasher)) {
         h.write_u64(self.next_seq);
         h.write_usize(self.len());
@@ -264,12 +385,18 @@ impl<E> EventQueue<E> {
             // events in pop order.
             for i in 0..WHEEL_SIZE as u64 {
                 let t = self.base + i;
-                let bucket = &self.wheel[t as usize & WHEEL_MASK];
-                for (key, event) in bucket.iter() {
+                let b = t as usize & WHEEL_MASK;
+                if self.occupied[b / 64] & (1u64 << (b % 64)) == 0 {
+                    continue;
+                }
+                let mut idx = self.buckets[b].head;
+                while idx != NIL {
+                    let slot = &self.slab[idx as usize];
                     h.write_u64(t);
-                    h.write_u64((*key >> 64) as u64);
-                    h.write_u64(*key as u64);
-                    f(event, h);
+                    h.write_u64((slot.key >> 64) as u64);
+                    h.write_u64(slot.key as u64);
+                    f(slot.event.as_ref().expect("listed slot holds an event"), h);
+                    idx = slot.next;
                 }
             }
         }
@@ -285,12 +412,10 @@ impl<E> EventQueue<E> {
 
     /// Removes all pending events.
     pub fn clear(&mut self) {
-        if self.wheel_len > 0 {
-            for bucket in &mut self.wheel {
-                bucket.clear();
-            }
-            self.wheel_len = 0;
-        }
+        self.occupied = [0; OCC_WORDS];
+        self.slab.clear();
+        self.free = NIL;
+        self.wheel_len = 0;
         self.far.clear();
     }
 }
@@ -306,6 +431,7 @@ mod tests {
     use super::*;
     use crate::hash::StableHasher;
     use crate::rng::SimRng;
+    use std::collections::HashSet;
 
     #[test]
     fn pops_in_time_order() {
@@ -420,10 +546,12 @@ mod tests {
         assert_eq!(q.pop().unwrap(), (Cycle::new(5000), "b"));
     }
 
-    /// The original heap-only queue, kept as the ordering oracle.
+    /// The original heap-only queue, kept as the ordering oracle: one
+    /// heap ordered by `(cycle, key)`, auto keys from its own counter.
     struct HeapQueue<E> {
-        heap: BinaryHeap<Reverse<(Cycle, u64, usize)>>,
+        heap: BinaryHeap<Reverse<(Cycle, u128, usize)>>,
         events: Vec<Option<E>>,
+        next_seq: u64,
     }
 
     impl<E> HeapQueue<E> {
@@ -431,18 +559,55 @@ mod tests {
             HeapQueue {
                 heap: BinaryHeap::new(),
                 events: Vec::new(),
+                next_seq: 0,
             }
         }
 
         fn push(&mut self, at: Cycle, event: E) {
-            let seq = self.events.len() as u64;
-            self.events.push(Some(event));
-            self.heap.push(Reverse((at, seq, seq as usize)));
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            self.push_keyed(at, seq as u128, event);
         }
 
-        fn pop(&mut self) -> Option<(Cycle, E)> {
-            let Reverse((at, _, idx)) = self.heap.pop()?;
-            Some((at, self.events[idx].take().expect("popped once")))
+        fn push_keyed(&mut self, at: Cycle, key: u128, event: E) {
+            self.heap.push(Reverse((at, key, self.events.len())));
+            self.events.push(Some(event));
+        }
+
+        fn pop_keyed(&mut self) -> Option<(Cycle, u128, E)> {
+            let Reverse((at, key, idx)) = self.heap.pop()?;
+            Some((at, key, self.events[idx].take().expect("popped once")))
+        }
+
+        fn peek_time(&self) -> Option<Cycle> {
+            self.heap.peek().map(|Reverse((at, _, _))| *at)
+        }
+
+        /// What [`EventQueue::digest_with`] must produce: the counter,
+        /// the length, then the events the queue keeps in its wheel and
+        /// then those `in_far` its far heap, each part in `(cycle, key)`
+        /// order.
+        fn digest_with(
+            &self,
+            h: &mut StableHasher,
+            in_far: impl Fn(&E) -> bool,
+            mut f: impl FnMut(&E, &mut StableHasher),
+        ) {
+            h.write_u64(self.next_seq);
+            h.write_usize(self.heap.len());
+            let mut pending: Vec<_> = self.heap.iter().map(|Reverse(e)| *e).collect();
+            pending.sort();
+            for far in [false, true] {
+                for &(at, key, idx) in &pending {
+                    let event = self.events[idx].as_ref().expect("pending");
+                    if in_far(event) == far {
+                        h.write_u64(at.as_u64());
+                        h.write_u64((key >> 64) as u64);
+                        h.write_u64(key as u64);
+                        f(event, h);
+                    }
+                }
+            }
         }
     }
 
@@ -450,13 +615,17 @@ mod tests {
     fn equivalent_to_reference_heap_on_randomized_schedule() {
         // Drive the time wheel and the pre-wheel heap implementation
         // with an identical randomized push/pop schedule and demand
-        // identical pop sequences. The schedule mixes same-cycle
-        // bursts, near-future deltas, far-future spills past the wheel
-        // horizon, and pops, with the RNG seeded through StableHasher
-        // so the schedule itself is pinned forever.
+        // identical pop sequences, peeks and digests. The schedule
+        // mixes auto-keyed FIFO pushes; keyed pushes whose keys arrive
+        // out of order within a cycle (mid-bucket inserts); bursts of
+        // more than 64 events in one cycle; pushes just inside, at and
+        // just past the wheel horizon and far beyond it; and pops in
+        // runs that keep few events pending, so slab slots are reused
+        // over and over and the wheel empties and slides. The RNG is
+        // seeded through StableHasher so the schedule is pinned.
         let mut h = StableHasher::new();
         h.write_str("event-queue-equivalence");
-        h.write_u64(4);
+        h.write_u64(5);
         let mut rng = SimRng::new(h.finish());
 
         let mut wheel: EventQueue<u64> = EventQueue::new();
@@ -464,34 +633,85 @@ mod tests {
         let mut now = 0u64;
         let mut next_id = 0u64;
         let mut pops = 0usize;
-        for step in 0..50_000u64 {
-            let roll = rng.range(10);
-            if roll < 6 {
-                // Push at a mostly-near, sometimes-far future time.
-                let delta = match rng.range(20) {
-                    0 => rng.range(10_000), // far beyond the horizon
-                    1..=4 => 0,             // same-cycle burst
-                    _ => rng.range(200),    // typical protocol latency
-                };
-                let at = Cycle::new(now + delta);
+        let mut most_pending = 0usize;
+        let mut digests = 0usize;
+        let horizon = WHEEL_SIZE as u64;
+        for step in 0..60_000u64 {
+            let delta = |rng: &mut SimRng| match rng.range(20) {
+                0 => rng.range(10_000), // far beyond the horizon
+                1..=4 => 0,             // same cycle as now
+                _ => rng.range(200),    // typical protocol latency
+            };
+            // Keys with a random high half sort out of insertion order;
+            // the id in the low half keeps them unique.
+            let keyed =
+                |rng: &mut SimRng, id: u64| ((1 + rng.range(1 << 16)) as u128) << 64 | id as u128;
+            let roll = rng.range(1000);
+            if roll < 350 {
+                let at = Cycle::new(now + delta(&mut rng));
                 wheel.push(at, next_id);
                 heap.push(at, next_id);
                 next_id += 1;
+            } else if roll < 490 {
+                let at = Cycle::new(now + delta(&mut rng));
+                let key = keyed(&mut rng, next_id);
+                wheel.push_keyed(at, key, next_id);
+                heap.push_keyed(at, key, next_id);
+                next_id += 1;
+            } else if roll < 492 {
+                let at = Cycle::new(now + rng.range(50));
+                for _ in 0..65 + rng.range(100) {
+                    let key = keyed(&mut rng, next_id);
+                    wheel.push_keyed(at, key, next_id);
+                    heap.push_keyed(at, key, next_id);
+                    next_id += 1;
+                }
+            } else if roll < 495 {
+                for d in [horizon - 1, horizon, horizon + 1] {
+                    let at = Cycle::new(now + d);
+                    let key = keyed(&mut rng, next_id);
+                    wheel.push_keyed(at, key, next_id);
+                    heap.push_keyed(at, key, next_id);
+                    next_id += 1;
+                }
             } else {
-                let a = wheel.pop();
-                let b = heap.pop();
-                assert_eq!(a, b, "divergence at step {step}");
-                if let Some((at, _)) = a {
-                    now = at.as_u64(); // simulated time only moves forward
-                    pops += 1;
+                for _ in 0..1 + rng.range(2) {
+                    let a = wheel.pop_keyed();
+                    let b = heap.pop_keyed();
+                    assert_eq!(a, b, "divergence at step {step}");
+                    if let Some((at, _, _)) = a {
+                        now = at.as_u64(); // simulated time only moves forward
+                        pops += 1;
+                    }
                 }
             }
             assert_eq!(wheel.len(), next_id as usize - pops);
+            most_pending = most_pending.max(wheel.len());
+            if rng.range(500) == 0 {
+                assert_eq!(wheel.peek_time(), heap.peek_time(), "peek at step {step}");
+                let mut a = StableHasher::new();
+                wheel.digest_with(&mut a, |e, h| h.write_u64(*e));
+                // The queue hashes its wheel before its far heap; take
+                // the split from the queue and the order from the oracle.
+                let far: HashSet<u64> = wheel.far.iter().map(|e| e.event).collect();
+                let mut b = StableHasher::new();
+                heap.digest_with(&mut b, |e| far.contains(e), |e, h| h.write_u64(*e));
+                assert_eq!(a.finish(), b.finish(), "digest at step {step}");
+                digests += 1;
+            }
         }
+        // The schedule really reused slots: far more events went through
+        // the wheel than its slab ever held.
+        assert!(
+            next_id as usize > 20 * wheel.slab.len(),
+            "slab {}",
+            wheel.slab.len()
+        );
+        assert!(most_pending > 64 && digests > 50);
         // Drain the remainder.
         loop {
-            let a = wheel.pop();
-            let b = heap.pop();
+            let a = wheel.pop_keyed();
+            let b = heap.pop_keyed();
             assert_eq!(a, b, "divergence during drain");
             if a.is_none() {
                 break;
