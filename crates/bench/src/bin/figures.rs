@@ -39,8 +39,8 @@
 //!
 //! `figures repro FILE` replays a minimal reproducer artifact emitted
 //! by the supervision layer (`DSM_REPRO_DIR`): it pins the recorded
-//! fault configuration and minimal fault schedule and reports whether
-//! the recorded deterministic failure recurs.
+//! fault configuration, protocol spec and minimal fault schedule, and
+//! reports whether the recorded deterministic failure recurs.
 //!
 //! `figures analyze FILE...` runs the trace-analytics engine
 //! (`dsm-analyze`) over binary ring dumps captured with
@@ -54,6 +54,9 @@ use atomic_dsm::experiments::{
     apps, counters, latency, lockfree, metrics, modern, paper_bars, runner, scaling, table1,
     CounterKind,
 };
+use atomic_dsm::machine::RunEnv;
+use atomic_dsm::sim::{FaultConfig, ProtoSpec};
+use atomic_dsm::trace::TraceSpec;
 use dsm_bench::scale;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -112,9 +115,10 @@ fn replay_reproducer(path: &str) -> ! {
     println!("job:      {:?}", rep.job);
     println!(
         "faults:   {} paranoid={}",
-        rep.faults.to_spec(),
-        rep.faults.paranoid
+        rep.env.faults.to_spec(),
+        rep.env.faults.paranoid
     );
+    println!("proto:    {:?}", rep.env.proto);
     match (&rep.filter, rep.allowed_faults()) {
         (Some(ranges), Some(n)) => println!("filter:   {n} fault(s) allowed, ranges {ranges:?}"),
         _ => println!("filter:   none (all drawn faults apply)"),
@@ -199,34 +203,30 @@ fn main() {
     }
     // Everything is validated before any artifact runs, so a typo never
     // costs a partial sweep: an unknown flag or artifact exits 2 with
-    // the usage line and nothing on stdout.
+    // the usage line and nothing on stdout. The flags refine the run
+    // environment read from `DSM_*`, which then scopes every job.
+    let mut env = RunEnv::from_env().unwrap_or_else(|e| usage_error(&e));
     let mut paper = false;
     let mut bars_mode = false;
     let mut csv_dir: Option<PathBuf> = None;
-    let mut jobs: Option<usize> = None;
+    // `--faults[=SPEC]` replaces the faults but keeps paranoid checking
+    // (`--paranoid` or `DSM_PARANOID=1`).
+    let mut paranoid = env.faults.paranoid;
     let mut wanted: Vec<&str> = Vec::new();
     let mut rest = args.iter();
     while let Some(a) = rest.next() {
         match a.as_str() {
             "--paper" => paper = true,
             "--bars" => bars_mode = true,
-            // Robustness knobs: `--faults[=SPEC]` turns deterministic
-            // fault injection on for every simulated machine (SPEC is
-            // `light`, `heavy` or a key=value list, see
-            // dsm_sim::FaultConfig::from_spec); `--paranoid` runs the
-            // protocol invariant checker after every transition. Both ride
-            // on the env overrides the machine builder honors, so they
-            // reach every job without new plumbing. With neither flag,
-            // artifacts are byte-identical to a faults-free build.
-            "--paranoid" => std::env::set_var("DSM_PARANOID", "1"),
-            "--faults" => std::env::set_var("DSM_FAULTS", "light"),
-            "--trace" => std::env::set_var("DSM_TRACE", "1"),
+            "--paranoid" => paranoid = true,
+            "--faults" => env.faults = FaultConfig::light(),
+            "--trace" => env.trace = Some(TraceSpec::default()),
             "--csv" => match rest.next() {
                 Some(dir) => csv_dir = Some(PathBuf::from(dir)),
                 None => usage_error("--csv takes a directory"),
             },
             "--jobs" => match rest.next().map(|v| (v, v.parse::<usize>())) {
-                Some((_, Ok(n))) => jobs = Some(n.max(1)),
+                Some((_, Ok(n))) => env.jobs = Some(n.max(1)),
                 Some((v, Err(_))) => {
                     usage_error(&format!("--jobs takes a positive integer, got `{v}`"))
                 }
@@ -234,20 +234,20 @@ fn main() {
             },
             _ => {
                 if let Some(spec) = a.strip_prefix("--faults=") {
-                    if let Err(e) = atomic_dsm::sim::FaultConfig::from_spec(spec) {
-                        usage_error(&format!("--faults: {e}"));
+                    match FaultConfig::from_spec(spec) {
+                        Ok(f) => env.faults = f,
+                        Err(e) => usage_error(&format!("--faults: {e}")),
                     }
-                    std::env::set_var("DSM_FAULTS", spec);
                 } else if let Some(spec) = a.strip_prefix("--trace=") {
-                    if let Err(e) = atomic_dsm::trace::TraceSpec::from_spec(spec) {
-                        usage_error(&format!("--trace: {e}"));
+                    match TraceSpec::from_spec(spec) {
+                        Ok(t) => env.trace = Some(t),
+                        Err(e) => usage_error(&format!("--trace: {e}")),
                     }
-                    std::env::set_var("DSM_TRACE", spec);
                 } else if let Some(spec) = a.strip_prefix("--proto=") {
-                    if let Err(e) = atomic_dsm::sim::ProtoSpec::from_spec(spec) {
-                        usage_error(&format!("--proto: {e}"));
+                    match ProtoSpec::from_spec(spec) {
+                        Ok(p) => env.proto = p,
+                        Err(e) => usage_error(&format!("--proto: {e}")),
                     }
-                    std::env::set_var("DSM_PROTO", spec);
                 } else if a.starts_with('-') {
                     usage_error(&format!("unknown option `{a}`"));
                 } else if ARTIFACTS.contains(&a.as_str()) {
@@ -262,6 +262,8 @@ fn main() {
     // deliberately NOT part of `all`: the committed paper artifacts
     // (results_paper.txt, results_csv/) must stay byte-identical.
     // Request those tables by name.
+    env.faults.paranoid = paranoid;
+    let workers = env.workers();
     let wanted: Vec<&str> = if wanted.is_empty() || wanted.contains(&"all") {
         vec!["table1", "fig2", "fig3", "fig4", "fig5", "fig6", "scaling"]
     } else {
@@ -493,15 +495,12 @@ fn main() {
             eprintln!("[{artifact}: {:.2}s]", t.elapsed().as_secs_f64());
         }
     };
-    match jobs {
-        Some(n) => runner::with_workers(n, run_artifacts),
-        None => run_artifacts(),
-    }
+    RunEnv::scope(env, run_artifacts);
     let st = runner::stats();
     eprintln!(
         "[total: {:.2}s on {} worker(s) — {} jobs simulated, {} cache hits, {} cycles]",
         started.elapsed().as_secs_f64(),
-        jobs.unwrap_or_else(runner::workers),
+        workers,
         st.completed,
         st.cache_hits,
         st.cycles_simulated

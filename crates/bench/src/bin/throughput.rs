@@ -40,9 +40,10 @@
 //! core counts.
 
 use atomic_dsm::experiments::{BarSpec, CounterKind};
-use atomic_dsm::machine::Machine;
+use atomic_dsm::machine::{Machine, RunEnv};
 use atomic_dsm::protocol::SyncPolicy;
 use atomic_dsm::sim::{Cycle, MachineConfig};
+use atomic_dsm::trace::TraceSpec;
 use atomic_dsm::workloads::{
     build_synthetic, build_tclosure, sequential_closure, SyntheticConfig, TcConfig,
 };
@@ -200,6 +201,43 @@ fn fmt_entry(m: &Measurement, indent: &str) -> String {
     )
 }
 
+/// The workload basket, each workload the fastest of `repeat` runs
+/// under the run environment in force (its trace spec included).
+fn basket(repeat: u32, procs: u32, rounds: u64, tc_size: u64) -> [Measurement; 4] {
+    let inv_phi = BarSpec::new(SyncPolicy::Inv, Primitive::FetchPhi);
+    let mcs = BarSpec::new(SyncPolicy::Inv, Primitive::Cas);
+    [
+        best_of(repeat, || {
+            counter_workload(
+                "counter-lockfree",
+                CounterKind::LockFree,
+                &inv_phi,
+                procs,
+                4,
+                rounds,
+            )
+        }),
+        best_of(repeat, || {
+            counter_workload("counter-mcs", CounterKind::McsLock, &mcs, procs, 4, rounds)
+        }),
+        // Figure 4's hardest point: every processor contends for one
+        // TTS lock, and each release invalidates every spinning sharer,
+        // so the run is coherence messages end to end. A quarter of the
+        // rounds keeps it from outweighing the rest of the basket.
+        best_of(repeat, || {
+            counter_workload(
+                "counter-tts",
+                CounterKind::TtsLock,
+                &inv_phi,
+                procs,
+                procs,
+                rounds / 4,
+            )
+        }),
+        best_of(repeat, || tclosure_workload("app-tclosure", procs, tc_size)),
+    ]
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut quick = false;
@@ -208,6 +246,10 @@ fn main() {
     let mut floor_path: Option<String> = None;
     let mut floor_pct: f64 = 15.0;
     let mut repeat: u32 = 1;
+    let mut env = RunEnv::from_env().unwrap_or_else(|e| {
+        eprintln!("throughput: {e}");
+        std::process::exit(2);
+    });
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -245,14 +287,15 @@ fn main() {
                     .expect("--repeat needs a positive integer");
                 assert!(repeat >= 1, "--repeat needs a positive integer");
             }
-            "--trace" => std::env::set_var("DSM_TRACE", "1"),
+            "--trace" => env.trace = Some(TraceSpec::default()),
             other if other.starts_with("--trace=") => {
-                let spec = &other["--trace=".len()..];
-                if let Err(e) = atomic_dsm::trace::TraceSpec::from_spec(spec) {
-                    eprintln!("--trace: {e}");
-                    std::process::exit(2);
+                match TraceSpec::from_spec(&other["--trace=".len()..]) {
+                    Ok(spec) => env.trace = Some(spec),
+                    Err(e) => {
+                        eprintln!("--trace: {e}");
+                        std::process::exit(2);
+                    }
                 }
-                std::env::set_var("DSM_TRACE", spec);
             }
             other => {
                 eprintln!("unknown flag {other}");
@@ -270,38 +313,7 @@ fn main() {
     let scale_label = if quick { "quick" } else { "paper" };
     eprintln!("throughput basket: {procs} processors ({scale_label} scale)");
 
-    let inv_phi = BarSpec::new(SyncPolicy::Inv, Primitive::FetchPhi);
-    let mcs = BarSpec::new(SyncPolicy::Inv, Primitive::Cas);
-    let workloads = [
-        best_of(repeat, || {
-            counter_workload(
-                "counter-lockfree",
-                CounterKind::LockFree,
-                &inv_phi,
-                procs,
-                4,
-                rounds,
-            )
-        }),
-        best_of(repeat, || {
-            counter_workload("counter-mcs", CounterKind::McsLock, &mcs, procs, 4, rounds)
-        }),
-        // Figure 4's hardest point: every processor contends for one
-        // TTS lock, and each release invalidates every spinning sharer,
-        // so the run is coherence messages end to end. A quarter of the
-        // rounds keeps it from outweighing the rest of the basket.
-        best_of(repeat, || {
-            counter_workload(
-                "counter-tts",
-                CounterKind::TtsLock,
-                &inv_phi,
-                procs,
-                procs,
-                rounds / 4,
-            )
-        }),
-        best_of(repeat, || tclosure_workload("app-tclosure", procs, tc_size)),
-    ];
+    let workloads = RunEnv::scope(env, || basket(repeat, procs, rounds, tc_size));
 
     let total = Measurement {
         name: "total",

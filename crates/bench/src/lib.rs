@@ -13,11 +13,10 @@ use atomic_dsm::protocol::{LlscScheme, MemOp, OpResult, SyncConfig, SyncPolicy};
 use atomic_dsm::sim::{Addr, Cycle, MachineConfig};
 use atomic_dsm::Primitive;
 
-/// Picks the experiment scale: `Scale::paper()` when `ATOMIC_DSM_PAPER`
-/// is set in the environment (or `paper` is true), else a CI-friendly
-/// quick scale.
+/// Picks the experiment scale: `Scale::paper()` when `paper` is true,
+/// else a CI-friendly quick scale.
 pub fn scale(paper: bool) -> Scale {
-    if paper || std::env::var_os("ATOMIC_DSM_PAPER").is_some() {
+    if paper {
         Scale::paper()
     } else {
         Scale::quick()
@@ -193,9 +192,7 @@ mod tests {
     #[test]
     fn scale_selection() {
         assert_eq!(scale(true).procs, 64);
-        if std::env::var_os("ATOMIC_DSM_PAPER").is_none() {
-            assert_eq!(scale(false).procs, 16);
-        }
+        assert_eq!(scale(false).procs, 16);
     }
 
     #[test]

@@ -1,11 +1,16 @@
 //! The persistent, corruption-tolerant result cache.
 //!
-//! With `DSM_CACHE_DIR` set (or a [`with_cache_dir`] override active),
-//! the experiment [`runner`](super::runner) extends its in-memory memo
-//! to a content-addressed on-disk store: every simulated job's result
-//! is written to `<dir>/<job-fingerprint>-<env-fingerprint>.job` as a
-//! versioned, checksummed [`dsm_sim::snapshot`] container, and later
-//! processes serve the same job from disk instead of re-simulating.
+//! With a cache directory in the run environment
+//! ([`RunEnv::cache_dir`](dsm_machine::RunEnv::cache_dir),
+//! `DSM_CACHE_DIR`), the experiment [`runner`](super::runner) extends
+//! its in-memory memo to a content-addressed on-disk store: every
+//! simulated job's result is written to `<dir>/<key-fingerprint>.job`
+//! as a versioned, checksummed [`dsm_sim::snapshot`] container, and
+//! later processes serve the same job from disk instead of
+//! re-simulating. The key is the canonical encoding of the job followed
+//! by that of the environment's [`EnvKey`] (faults, paranoid checking,
+//! protocol spec), so runs under different environments never share
+//! an entry and two spellings of one setting always do.
 //!
 //! Robustness properties, in the order they matter:
 //!
@@ -18,15 +23,10 @@
 //!   `quarantined/` subdirectory for diagnosis) and the job is simply
 //!   re-simulated; corruption is never a panic and never poisons a
 //!   result.
-//! * **Collision safety** — the payload stores the full canonical job
-//!   encoding (including the machine's fault configuration, which the
-//!   seed fingerprint deliberately omits); a fingerprint collision
-//!   decodes to a different job and reads as a miss, not a wrong
-//!   result.
-//! * **Environment binding** — `DSM_FAULTS` and `DSM_PARANOID` change
-//!   machine behaviour without entering the job key, so the file name
-//!   carries a fingerprint of both; runs under different fault
-//!   environments never share entries.
+//! * **Collision safety** — the payload stores the full canonical key
+//!   (including the machine's fault configuration, which the seed
+//!   fingerprint deliberately omits); a fingerprint collision holds a
+//!   different key and reads as a miss, not a wrong result.
 //! * **Failure policy** — deterministic failures (protocol errors,
 //!   invariant violations, lost updates) persist like successes: they
 //!   are a property of the job key and re-simulating them wastes time.
@@ -42,109 +42,52 @@ use crate::experiments::runner::{
     Job, JobError, JobOutput, JobResult, DISK_HITS, DISK_QUARANTINED, DISK_STORES,
 };
 use crate::experiments::{BarSpec, CounterKind, Scale};
+use dsm_machine::EnvKey;
 use dsm_protocol::{CasVariant, LlscScheme, SyncPolicy};
 use dsm_sim::snapshot::{self, ByteReader, ByteWriter, PayloadKind, SnapshotError};
 use dsm_sim::{FaultConfig, MachineConfig, ProtoSpec, ProtoVariant, StableHasher};
 use dsm_stats::{Histogram, LatencyHist};
 use dsm_sync::{LinkPrim, Primitive};
 use dsm_workloads::LfStructure;
-use std::cell::RefCell;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::Ordering;
 
-thread_local! {
-    /// `None` = no override (use the environment); `Some(None)` =
-    /// override to disabled; `Some(Some(dir))` = override to `dir`.
-    static DIR_OVERRIDE: RefCell<Option<Option<PathBuf>>> = const { RefCell::new(None) };
-}
-
-/// Runs `f` with the persistent cache directory pinned on this thread —
-/// `Some(dir)` to point it at `dir`, `None` to disable it regardless of
-/// `DSM_CACHE_DIR` — restoring the previous setting afterwards (also on
-/// panic). This is how tests exercise the store against a scratch
-/// directory without touching the process environment.
-pub fn with_cache_dir<R>(dir: Option<&Path>, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<Option<PathBuf>>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            DIR_OVERRIDE.with(|c| *c.borrow_mut() = self.0.take());
-        }
-    }
-    let over = Some(dir.map(Path::to_path_buf));
-    let _restore = Restore(DIR_OVERRIDE.with(|c| std::mem::replace(&mut *c.borrow_mut(), over)));
-    f()
-}
-
-/// The active cache directory: the [`with_cache_dir`] override if set,
-/// else `DSM_CACHE_DIR` from the environment; `None` disables the
-/// store entirely (the runner then behaves exactly as before it
-/// existed).
-pub fn dir() -> Option<PathBuf> {
-    if let Some(over) = DIR_OVERRIDE.with(|c| c.borrow().clone()) {
-        return over;
-    }
-    std::env::var_os("DSM_CACHE_DIR")
-        .filter(|v| !v.is_empty())
-        .map(PathBuf::from)
-}
-
-/// Fingerprint of the ambient environment that changes machine
-/// behaviour without entering the job key: `DSM_FAULTS` and
-/// `DSM_PROTO` (both applied at machine build time) and `DSM_PARANOID`.
-/// `DSM_PROTO` enters in canonical form, so spellings of one protocol
-/// share entries and the default protocol leaves the fingerprint as it
-/// was before the variable existed.
-fn env_fingerprint() -> u32 {
-    let mut h = StableHasher::new();
-    h.write_str(&std::env::var("DSM_FAULTS").unwrap_or_default());
-    h.write_u8(u8::from(
-        std::env::var("DSM_PARANOID").is_ok_and(|v| v == "1"),
-    ));
-    if let Ok(raw) = std::env::var("DSM_PROTO") {
-        match ProtoSpec::from_spec(&raw) {
-            Ok(spec) if spec == ProtoSpec::default() => {}
-            Ok(spec) => {
-                h.write_str(spec.variant.label());
-                h.write_u8(u8::from(spec.home_atomics));
-                for v in [spec.clusters.map(u64::from), spec.penalty, spec.line_size] {
-                    h.write_u64(v.map_or(0, |v| v + 1));
-                }
-            }
-            // Machine builds reject it; keep it apart all the same.
-            Err(_) => h.write_str(&raw),
-        }
-    }
-    (h.finish() & 0xFFFF_FFFF) as u32
-}
-
-/// The entry file name for a canonically encoded job: a 64-bit content
-/// fingerprint of the encoding plus the 32-bit environment fingerprint.
-fn file_name(job_bytes: &[u8]) -> String {
+/// The entry file name for a canonically encoded key: its 64-bit
+/// content fingerprint.
+fn file_name(key_bytes: &[u8]) -> String {
     let mut h = StableHasher::new();
     h.write_str("dsm-cache-entry");
-    h.write_bytes(job_bytes);
-    format!("{:016x}-{:08x}.job", h.finish(), env_fingerprint())
+    h.write_bytes(key_bytes);
+    format!("{:016x}.job", h.finish())
 }
 
-/// Looks a job up in the persistent store at `dir` (the caller
-/// resolves it with [`dir`]).
+/// The canonical entry key: the job's encoding, then the environment's.
+fn encode_key(env: &EnvKey, job: &Job) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    w.put_bytes(&encode_job(job));
+    put_env(&mut w, env);
+    w.into_bytes()
+}
+
+/// Looks a job up in the persistent store at `dir`, for a run under
+/// `env`.
 ///
 /// Returns `None` on every miss-like condition: a Table 1 job, no entry
 /// on disk, a fingerprint collision with a different job, or a corrupt
 /// entry (which is quarantined first). The runner re-simulates in all
 /// of these cases — corruption can cost time, never correctness.
-pub(crate) fn load(dir: &Path, job: &Job) -> Option<JobResult> {
+pub(crate) fn load(dir: &Path, env: &EnvKey, job: &Job) -> Option<JobResult> {
     if matches!(job, Job::Table1 { .. }) {
         return None;
     }
-    let job_bytes = encode_job(job);
-    let path = dir.join(file_name(&job_bytes));
+    let key_bytes = encode_key(env, job);
+    let path = dir.join(file_name(&key_bytes));
     let bytes = match snapshot::read(&path, PayloadKind::CacheEntry) {
         Ok(b) => b,
         Err(SnapshotError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => return None,
         Err(e) => return quarantine_corrupt(&path, &e),
     };
-    match decode_entry(&bytes, job) {
+    match decode_entry(&bytes, &key_bytes) {
         Ok(Some(result)) => {
             DISK_HITS.fetch_add(1, Ordering::Relaxed);
             Some(result)
@@ -154,13 +97,13 @@ pub(crate) fn load(dir: &Path, job: &Job) -> Option<JobResult> {
     }
 }
 
-/// Persists one job's result in the store at `dir`, if it is
+/// Persists one job's result under `env` in the store at `dir`, if it is
 /// persistable: the job must not be Table 1, and the result must not be
 /// a transient failure. Persistence is best-effort — an I/O error is
 /// reported to stderr and the run continues; the entry is simply
 /// re-simulated by the next process. Safe to call from several threads
 /// at once for distinct jobs: each entry has its own temporary file.
-pub(crate) fn store(dir: &Path, job: &Job, result: &JobResult) {
+pub(crate) fn store(dir: &Path, env: &EnvKey, job: &Job, result: &JobResult) {
     if matches!(job, Job::Table1 { .. }) {
         return;
     }
@@ -169,9 +112,9 @@ pub(crate) fn store(dir: &Path, job: &Job, result: &JobResult) {
             return;
         }
     }
-    let job_bytes = encode_job(job);
-    let path = dir.join(file_name(&job_bytes));
-    let payload = encode_entry(&job_bytes, result);
+    let key_bytes = encode_key(env, job);
+    let path = dir.join(file_name(&key_bytes));
+    let payload = encode_entry(&key_bytes, result);
     match snapshot::write_atomic(&path, PayloadKind::CacheEntry, &payload) {
         Ok(()) => {
             DISK_STORES.fetch_add(1, Ordering::Relaxed);
@@ -310,21 +253,15 @@ fn put_mcfg(w: &mut ByteWriter, m: &MachineConfig) {
     ] {
         w.put_u64(v);
     }
-    w.put_u8(match m.proto {
-        ProtoVariant::Dash => 0,
-        ProtoVariant::MesiF => 1,
-        ProtoVariant::Hier => 2,
-    });
+    put_variant(w, m.proto);
     w.put_u32(m.clusters);
     w.put_u64(m.cache.sets as u64);
     w.put_u64(m.cache.ways as u64);
     w.put_u64(m.seed);
     // The fault config is spelled out even though the seed fingerprint
     // omits it: two jobs differing only in faults must never be
-    // mistaken for each other on disk. `paranoid` travels separately —
-    // the spec grammar does not carry it.
-    w.put_str(&m.faults.to_spec());
-    w.put_bool(m.faults.paranoid);
+    // mistaken for each other on disk.
+    put_faults(w, &m.faults);
 }
 
 fn take_mcfg(r: &mut ByteReader<'_>) -> Result<MachineConfig, SnapshotError> {
@@ -342,21 +279,72 @@ fn take_mcfg(r: &mut ByteReader<'_>) -> Result<MachineConfig, SnapshotError> {
     m.params.header_flits = r.take_u64()?;
     m.params.issue = r.take_u64()?;
     m.params.cluster_penalty = r.take_u64()?;
-    m.proto = match r.take_u8()? {
-        0 => ProtoVariant::Dash,
-        1 => ProtoVariant::MesiF,
-        2 => ProtoVariant::Hier,
-        t => return Err(bad_tag("proto variant", t)),
-    };
+    m.proto = take_variant(r)?;
     m.clusters = r.take_u32()?;
     m.cache.sets = r.take_u64()? as usize;
     m.cache.ways = r.take_u64()? as usize;
     m.seed = r.take_u64()?;
-    let spec = r.take_str()?;
-    m.faults = FaultConfig::from_spec(&spec)
-        .map_err(|e| SnapshotError::Malformed(format!("fault spec: {e}")))?;
-    m.faults.paranoid = r.take_bool()?;
+    m.faults = take_faults(r)?;
     Ok(m)
+}
+
+/// Faults in their canonical `to_spec` form, so every spelling of one
+/// setting encodes alike; `paranoid` travels separately, as the spec
+/// grammar does not carry it.
+fn put_faults(w: &mut ByteWriter, f: &FaultConfig) {
+    w.put_str(&f.to_spec());
+    w.put_bool(f.paranoid);
+}
+
+fn take_faults(r: &mut ByteReader<'_>) -> Result<FaultConfig, SnapshotError> {
+    let spec = r.take_str()?;
+    let mut f = FaultConfig::from_spec(&spec)
+        .map_err(|e| SnapshotError::Malformed(format!("fault spec: {e}")))?;
+    f.paranoid = r.take_bool()?;
+    Ok(f)
+}
+
+fn put_variant(w: &mut ByteWriter, v: ProtoVariant) {
+    w.put_u8(match v {
+        ProtoVariant::Dash => 0,
+        ProtoVariant::MesiF => 1,
+        ProtoVariant::Hier => 2,
+    });
+}
+
+fn take_variant(r: &mut ByteReader<'_>) -> Result<ProtoVariant, SnapshotError> {
+    Ok(match r.take_u8()? {
+        0 => ProtoVariant::Dash,
+        1 => ProtoVariant::MesiF,
+        2 => ProtoVariant::Hier,
+        t => return Err(bad_tag("proto variant", t)),
+    })
+}
+
+/// Encodes the result-changing part of a run environment.
+pub(crate) fn put_env(w: &mut ByteWriter, env: &EnvKey) {
+    put_faults(w, &env.faults);
+    let p = &env.proto;
+    put_variant(w, p.variant);
+    w.put_bool(p.home_atomics);
+    // Cluster counts and line sizes are never 0, so 0 stands for unset.
+    w.put_u32(p.clusters.unwrap_or(0));
+    w.put_u64(p.penalty.map_or(0, |v| v + 1));
+    w.put_u64(p.line_size.unwrap_or(0));
+}
+
+/// Decodes [`put_env`]'s encoding.
+pub(crate) fn take_env(r: &mut ByteReader<'_>) -> Result<EnvKey, SnapshotError> {
+    Ok(EnvKey {
+        faults: take_faults(r)?,
+        proto: ProtoSpec {
+            variant: take_variant(r)?,
+            home_atomics: r.take_bool()?,
+            clusters: Some(r.take_u32()?).filter(|&n| n > 0),
+            penalty: r.take_u64()?.checked_sub(1),
+            line_size: Some(r.take_u64()?).filter(|&n| n > 0),
+        },
+    })
 }
 
 fn put_scale(w: &mut ByteWriter, s: &Scale) {
@@ -395,8 +383,8 @@ fn take_app(r: &mut ByteReader<'_>) -> Result<App, SnapshotError> {
 }
 
 /// Encodes a job in its canonical on-disk form (every field, including
-/// the machine's fault configuration). Also the input of the entry
-/// file-name fingerprint.
+/// the machine's fault configuration). It leads the entry key and the
+/// reproducer encoding.
 pub(crate) fn encode_job(job: &Job) -> Vec<u8> {
     let mut w = ByteWriter::new();
     match job {
@@ -628,11 +616,11 @@ fn take_output(r: &mut ByteReader<'_>) -> Result<JobOutput, SnapshotError> {
     })
 }
 
-/// Encodes one entry payload: the canonical job encoding (for collision
+/// Encodes one entry payload: the canonical key encoding (for collision
 /// detection on load) followed by the result.
-fn encode_entry(job_bytes: &[u8], result: &JobResult) -> Vec<u8> {
+fn encode_entry(key_bytes: &[u8], result: &JobResult) -> Vec<u8> {
     let mut w = ByteWriter::new();
-    w.put_bytes(job_bytes);
+    w.put_bytes(key_bytes);
     match result {
         Ok(out) => {
             w.put_u8(0);
@@ -648,13 +636,11 @@ fn encode_entry(job_bytes: &[u8], result: &JobResult) -> Vec<u8> {
 }
 
 /// Decodes one entry payload. `Ok(None)` means the entry belongs to a
-/// *different* job (a file-name fingerprint collision) — a cache miss,
+/// *different* key (a file-name fingerprint collision) — a cache miss,
 /// not corruption.
-fn decode_entry(bytes: &[u8], want: &Job) -> Result<Option<JobResult>, SnapshotError> {
+fn decode_entry(bytes: &[u8], want: &[u8]) -> Result<Option<JobResult>, SnapshotError> {
     let mut r = ByteReader::new(bytes);
-    let job_bytes = r.take_bytes()?;
-    let stored = decode_job(&job_bytes)?;
-    if stored != *want {
+    if r.take_bytes()? != want {
         return Ok(None);
     }
     let result = match r.take_u8()? {
@@ -677,6 +663,11 @@ mod tests {
     use super::*;
     use dsm_protocol::SyncPolicy;
     use dsm_sync::Primitive;
+
+    /// The key of a run under the default environment.
+    fn key(job: &Job) -> Vec<u8> {
+        encode_key(&EnvKey::default(), job)
+    }
 
     fn counter_job(faulty: bool) -> Job {
         let mut mcfg = MachineConfig::with_nodes(4);
@@ -735,9 +726,34 @@ mod tests {
         let faulty = counter_job(true);
         assert_eq!(plain.seed(), faulty.seed());
         assert_ne!(encode_job(&plain), encode_job(&faulty));
-        assert_ne!(
-            file_name(&encode_job(&plain)),
-            file_name(&encode_job(&faulty))
+        assert_ne!(file_name(&key(&plain)), file_name(&key(&faulty)));
+    }
+
+    #[test]
+    fn env_key_round_trips_and_distinguishes_entries() {
+        let job = counter_job(false);
+        let mut faulty = EnvKey {
+            faults: FaultConfig::from_spec("corrupt=50,watchdog=9000").unwrap(),
+            proto: ProtoSpec::from_spec("hier,hna,clusters=4,penalty=32,line=64").unwrap(),
+        };
+        faulty.faults.paranoid = true;
+        for env in [EnvKey::default(), faulty.clone()] {
+            let mut w = ByteWriter::new();
+            put_env(&mut w, &env);
+            let bytes = w.into_bytes();
+            let mut r = ByteReader::new(&bytes);
+            assert_eq!(take_env(&mut r).unwrap(), env);
+            r.finish().unwrap();
+        }
+        assert_ne!(key(&job), encode_key(&faulty, &job));
+        // Spellings of one setting share a key.
+        let light = |spec: &str| EnvKey {
+            faults: FaultConfig::from_spec(spec).unwrap(),
+            ..EnvKey::default()
+        };
+        assert_eq!(
+            encode_key(&light("light"), &job),
+            encode_key(&light(&FaultConfig::light().to_spec()), &job)
         );
     }
 
@@ -745,7 +761,7 @@ mod tests {
     fn entry_decode_rejects_collisions_as_miss() {
         let stored_for = counter_job(false);
         let bytes = encode_entry(
-            &encode_job(&stored_for),
+            &key(&stored_for),
             &Err(JobError {
                 job: "x".into(),
                 message: "deterministic failure".into(),
@@ -753,9 +769,22 @@ mod tests {
             }),
         );
         // Same entry asked for by a different job: miss, not corruption.
-        assert!(decode_entry(&bytes, &lockfree_job()).unwrap().is_none());
+        assert!(decode_entry(&bytes, &key(&lockfree_job()))
+            .unwrap()
+            .is_none());
+        // Same job under another environment: also a miss.
+        let paranoid = EnvKey {
+            faults: FaultConfig {
+                paranoid: true,
+                ..FaultConfig::default()
+            },
+            ..EnvKey::default()
+        };
+        assert!(decode_entry(&bytes, &encode_key(&paranoid, &stored_for))
+            .unwrap()
+            .is_none());
         // Asked for by the right job: the stored failure comes back.
-        let back = decode_entry(&bytes, &stored_for).unwrap().unwrap();
+        let back = decode_entry(&bytes, &key(&stored_for)).unwrap().unwrap();
         assert_eq!(back.unwrap_err().message, "deterministic failure");
     }
 
@@ -778,8 +807,8 @@ mod tests {
             write_run: 1.25,
             latency: latency.clone(),
         });
-        let bytes = encode_entry(&encode_job(&job), &Ok(out));
-        let back = decode_entry(&bytes, &job).unwrap().unwrap().unwrap();
+        let bytes = encode_entry(&key(&job), &Ok(out));
+        let back = decode_entry(&bytes, &key(&job)).unwrap().unwrap().unwrap();
         let JobOutput::App(a) = back else {
             panic!("expected app output");
         };
@@ -797,7 +826,10 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("dsm-diskcache-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let job = counter_job(false);
-        assert!(load(&dir, &job).is_none(), "cold store must miss");
+        assert!(
+            load(&dir, &EnvKey::default(), &job).is_none(),
+            "cold store must miss"
+        );
         let mut latency = LatencyHist::new();
         latency.record_n(41, 16);
         let out = Ok(JobOutput::Counter(CounterPoint {
@@ -807,8 +839,8 @@ mod tests {
             cycles: 664,
             latency,
         }));
-        store(&dir, &job, &out);
-        let back = load(&dir, &job).expect("warm store must hit");
+        store(&dir, &EnvKey::default(), &job, &out);
+        let back = load(&dir, &EnvKey::default(), &job).expect("warm store must hit");
         let p = back.unwrap().into_counter();
         assert_eq!(p.cycles, 664);
         assert_eq!(p.avg_cycles.to_bits(), 41.5f64.to_bits());
@@ -821,6 +853,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         store(
             &dir,
+            &EnvKey::default(),
             &counter_job(false),
             &Err(JobError {
                 job: "j".into(),
@@ -830,6 +863,7 @@ mod tests {
         );
         store(
             &dir,
+            &EnvKey::default(),
             &Job::table1(0),
             &Ok(JobOutput::Table1(crate::experiments::table1::run_scenario(
                 0,
@@ -854,15 +888,15 @@ mod tests {
             cycles: 1,
             latency: LatencyHist::new(),
         }));
-        store(&dir, &job, &out);
-        let path = dir.join(file_name(&encode_job(&job)));
+        store(&dir, &EnvKey::default(), &job, &out);
+        let path = dir.join(file_name(&key(&job)));
         // Flip one payload bit on disk.
         let mut bytes = std::fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x10;
         std::fs::write(&path, &bytes).unwrap();
         assert!(
-            load(&dir, &job).is_none(),
+            load(&dir, &EnvKey::default(), &job).is_none(),
             "corrupt entry must read as a miss"
         );
         assert!(!path.exists(), "corrupt entry must be moved away");
@@ -871,8 +905,8 @@ mod tests {
             "corrupt entry must be quarantined for diagnosis"
         );
         // The job can be stored and served again afterwards.
-        store(&dir, &job, &out);
-        assert!(load(&dir, &job).is_some());
+        store(&dir, &EnvKey::default(), &job, &out);
+        assert!(load(&dir, &EnvKey::default(), &job).is_some());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -13,7 +13,8 @@
 //!
 //! [`shrink`] runs the standard ddmin algorithm over the applied
 //! candidate indices, producing a [`Reproducer`]: the job key, the
-//! *effective* fault configuration of the failing run, the minimal
+//! environment key of the failing run (its *effective* fault
+//! configuration and the protocol spec in force), the minimal
 //! allow-list, and the failure diagnostic it reproduces. Reproducers
 //! persist in the snapshot container ([`PayloadKind::Reproducer`]) and
 //! replay with one command:
@@ -23,19 +24,20 @@
 //! ```
 //!
 //! The experiment [`runner`] emits these artifacts automatically for
-//! every deterministic failure when a reproducer directory is
-//! configured (`DSM_REPRO_DIR`, or [`with_repro_dir`] in tests),
+//! every deterministic failure when the run environment names a
+//! reproducer directory ([`RunEnv::repro_dir`], `DSM_REPRO_DIR`),
 //! together with a plain-text dump of the failure diagnostic, the
 //! applied fault schedule and the machine's final state digest. The
-//! failing job's error message references both files.
+//! failing job's error message references both files. A replay runs
+//! under the recorded environment key alone, whatever environment the
+//! replaying process has.
 
 use crate::experiments::diskcache;
 use crate::experiments::runner::{self, Job, JobOutput, SimFailure};
-use dsm_machine::Machine;
+use dsm_machine::{EnvKey, Machine, RunEnv};
 use dsm_sim::snapshot::{self, ByteReader, ByteWriter, PayloadKind, SnapshotError};
-use dsm_sim::{FaultConfig, FaultFilter, FaultRecord};
-use std::cell::RefCell;
-use std::path::{Path, PathBuf};
+use dsm_sim::{FaultFilter, FaultRecord};
+use std::path::Path;
 
 /// A minimal reproducer: everything needed to replay one deterministic
 /// failure, self-contained (no environment required).
@@ -43,9 +45,10 @@ use std::path::{Path, PathBuf};
 pub struct Reproducer {
     /// The failing job.
     pub job: Job,
-    /// The effective fault configuration of the original run (explicit,
-    /// environment or override — captured so replay pins it exactly).
-    pub faults: FaultConfig,
+    /// The environment key of the original run: its effective fault
+    /// configuration (explicit or from the environment) and the
+    /// protocol spec in force, captured so replay pins both exactly.
+    pub env: EnvKey,
     /// The minimal fault allow-list as half-open candidate-index
     /// ranges; `None` means no filter (the failure does not shrink,
     /// e.g. the schedule was capped or the failure needs no faults).
@@ -111,8 +114,7 @@ pub struct Replay {
 pub fn save(path: &Path, rep: &Reproducer) -> Result<(), ReproError> {
     let mut w = ByteWriter::new();
     w.put_bytes(&diskcache::encode_job(&rep.job));
-    w.put_str(&rep.faults.to_spec());
-    w.put_bool(rep.faults.paranoid);
+    diskcache::put_env(&mut w, &rep.env);
     match &rep.filter {
         None => w.put_u8(0),
         Some(ranges) => {
@@ -140,10 +142,7 @@ pub fn load(path: &Path) -> Result<Reproducer, ReproError> {
     let payload = snapshot::read(path, PayloadKind::Reproducer)?;
     let mut r = ByteReader::new(&payload);
     let job = diskcache::decode_job(&r.take_bytes()?)?;
-    let spec = r.take_str()?;
-    let mut faults = FaultConfig::from_spec(&spec)
-        .map_err(|e| ReproError::Snapshot(SnapshotError::Malformed(format!("fault spec: {e}"))))?;
-    faults.paranoid = r.take_bool()?;
+    let env = diskcache::take_env(&mut r)?;
     let filter = match r.take_u8()? {
         0 => None,
         1 => {
@@ -166,21 +165,26 @@ pub fn load(path: &Path) -> Result<Reproducer, ReproError> {
     r.finish()?;
     Ok(Reproducer {
         job,
-        faults,
+        env,
         filter,
         message,
     })
 }
 
-/// Runs one case: the job under `faults` with an optional candidate
-/// filter, returning the simulation outcome and the fault record.
-/// `None` for Table 1 jobs.
+/// Runs one case: the job under `env` alone (no trace, no wall-clock
+/// budget) with an optional candidate filter, returning the simulation
+/// outcome and the fault record. `None` for Table 1 jobs.
 fn run_case(
     job: &Job,
-    faults: &FaultConfig,
+    env: &EnvKey,
     filter: Option<&[(u64, u64)]>,
 ) -> Option<(Result<JobOutput, SimFailure>, FaultRecord)> {
-    dsm_machine::with_fault_config(faults.clone(), || {
+    let env = RunEnv {
+        faults: env.faults.clone(),
+        proto: env.proto,
+        ..RunEnv::default()
+    };
+    RunEnv::scope(env, || {
         let mut p = runner::prepare(job)?;
         if let Some(ranges) = filter {
             p.machine
@@ -198,9 +202,9 @@ fn run_case(
 
 /// Returns the failure message if the case fails *deterministically*
 /// with exactly the faults in `subset` allowed.
-fn fails_with(job: &Job, faults: &FaultConfig, subset: &[u64]) -> Option<String> {
+fn fails_with(job: &Job, env: &EnvKey, subset: &[u64]) -> Option<String> {
     let filter = FaultFilter::from_indices(subset);
-    let (res, _) = run_case(job, faults, Some(filter.ranges()))?;
+    let (res, _) = run_case(job, env, Some(filter.ranges()))?;
     match res {
         Err(f) if !f.transient => Some(f.message),
         _ => None,
@@ -279,8 +283,11 @@ fn ddmin(
 /// full) the reproducer carries no filter: it replays the unshrunk
 /// failure, which is still deterministic.
 pub fn shrink(job: &Job) -> Option<Reproducer> {
-    let faults = runner::prepare(job)?.machine.fault_config().clone();
-    let (res, record) = run_case(job, &faults, None)?;
+    let env = EnvKey {
+        faults: runner::prepare(job)?.machine.fault_config().clone(),
+        proto: RunEnv::current().proto,
+    };
+    let (res, record) = run_case(job, &env, None)?;
     let failure = match res {
         Err(f) if !f.transient => f,
         _ => return None,
@@ -290,7 +297,7 @@ pub fn shrink(job: &Job) -> Option<Reproducer> {
     if full.is_empty() || !complete {
         return Some(Reproducer {
             job: job.clone(),
-            faults,
+            env,
             filter: None,
             message: failure.message,
         });
@@ -301,32 +308,31 @@ pub fn shrink(job: &Job) -> Option<Reproducer> {
             return None;
         }
         budget -= 1;
-        fails_with(job, &faults, subset)
+        fails_with(job, &env, subset)
     };
     // If the failure needs no faults at all, the minimal filter is
     // empty — don't ddmin toward it, just verify once.
-    let (minimal, message) = match fails_with(job, &faults, &[]) {
+    let (minimal, message) = match fails_with(job, &env, &[]) {
         Some(msg) => (Vec::new(), msg),
         None => ddmin(full, failure.message, test),
     };
     Some(Reproducer {
         job: job.clone(),
-        faults,
+        env,
         filter: Some(FaultFilter::from_indices(&minimal).ranges().to_vec()),
         message,
     })
 }
 
-/// Replays a reproducer: runs its job under its pinned fault
-/// configuration and filter, and reports whether the deterministic
-/// failure recurred.
+/// Replays a reproducer: runs its job under its pinned environment key
+/// and filter, and reports whether the deterministic failure recurred.
 ///
 /// # Errors
 ///
 /// [`ReproError::Unsupported`] for Table 1 jobs.
 pub fn replay(rep: &Reproducer) -> Result<Replay, ReproError> {
     let ranges = rep.filter.as_deref();
-    let Some((res, _)) = run_case(&rep.job, &rep.faults, ranges) else {
+    let Some((res, _)) = run_case(&rep.job, &rep.env, ranges) else {
         return Err(ReproError::Unsupported(format!("{:?}", rep.job)));
     };
     Ok(match res {
@@ -343,39 +349,6 @@ pub fn replay(rep: &Reproducer) -> Result<Replay, ReproError> {
             message: "run completed successfully; the failure did not recur".into(),
         },
     })
-}
-
-thread_local! {
-    static DIR_OVERRIDE: RefCell<Option<Option<PathBuf>>> = const { RefCell::new(None) };
-}
-
-/// Runs `f` with the reproducer directory pinned to `dir` on this
-/// thread (`None` disables emission), restoring the previous setting
-/// afterwards (also on panic). Like the runner's other overrides, the
-/// directory is resolved on the coordinating thread before jobs fan
-/// out, so it applies at any worker count.
-pub fn with_repro_dir<R>(dir: Option<&Path>, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<Option<PathBuf>>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            DIR_OVERRIDE.with(|c| *c.borrow_mut() = self.0.take());
-        }
-    }
-    let over = Some(dir.map(Path::to_path_buf));
-    let _restore = Restore(DIR_OVERRIDE.with(|c| std::mem::replace(&mut *c.borrow_mut(), over)));
-    f()
-}
-
-/// The directory reproducer artifacts go to: the [`with_repro_dir`]
-/// override if active, else `DSM_REPRO_DIR` from the environment
-/// (empty = disabled). `None` disables emission.
-pub fn dir() -> Option<PathBuf> {
-    if let Some(over) = DIR_OVERRIDE.with(|c| c.borrow().clone()) {
-        return over;
-    }
-    std::env::var_os("DSM_REPRO_DIR")
-        .filter(|v| !v.is_empty())
-        .map(PathBuf::from)
 }
 
 /// Emits failure artifacts for a deterministic failure and annotates
@@ -405,12 +378,13 @@ pub(crate) fn emit(
 
     let dump_path = dir.join(format!("{stem}.dump.txt"));
     let mut text = format!(
-        "{}\n\njob: {:?}\nfaults: {} paranoid={}\nstate digest: {:016x}\n\
+        "{}\n\njob: {:?}\nfaults: {} paranoid={}\nproto: {:?}\nstate digest: {:016x}\n\
          events processed: {}\nfault candidates drawn: {}\nfaults applied: {}\n",
         failure.message,
         job,
         machine.fault_config().to_spec(),
         machine.fault_config().paranoid,
+        RunEnv::current().proto,
         machine.state_digest(),
         machine.events_processed(),
         record.candidates,
@@ -463,7 +437,7 @@ mod tests {
     use super::*;
     use crate::experiments::{BarSpec, CounterKind};
     use dsm_protocol::SyncPolicy;
-    use dsm_sim::MachineConfig;
+    use dsm_sim::{FaultConfig, MachineConfig, ProtoSpec};
     use dsm_sync::Primitive;
 
     #[test]
@@ -508,10 +482,12 @@ mod tests {
                 1.0,
                 4,
             ),
-            faults: {
-                let mut f = FaultConfig::heavy();
-                f.paranoid = true;
-                f
+            env: EnvKey {
+                faults: FaultConfig {
+                    paranoid: true,
+                    ..FaultConfig::heavy()
+                },
+                proto: ProtoSpec::from_spec("mesif,hna").unwrap(),
             },
             filter: Some(vec![(3, 4), (17, 20)]),
             message: "INV CAS: invariant: line 0x40 promoted illegally".into(),
@@ -522,13 +498,6 @@ mod tests {
         assert_eq!(back, rep);
         assert_eq!(back.allowed_faults(), Some(4));
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn repro_dir_override_wins_and_restores() {
-        let d = std::env::temp_dir().join("dsm-repro-dir-test");
-        with_repro_dir(Some(&d), || assert_eq!(dir(), Some(d.clone())));
-        with_repro_dir(None, || assert_eq!(dir(), None));
     }
 
     #[test]

@@ -10,35 +10,37 @@
 //!   and hands the whole batch to [`run_all`], instead of simulating
 //!   point-by-point inline.
 //! * **Parallel fan-out** — batches run on a scoped worker pool
-//!   ([`fan_out`]). The worker count comes from the `DSM_JOBS`
-//!   environment variable, falling back to
-//!   [`std::thread::available_parallelism`]; [`with_workers`] overrides
-//!   it programmatically. One worker means plain serial execution on
-//!   the calling thread.
+//!   ([`fan_out`]) of [`RunEnv::workers`] threads. One worker means
+//!   plain serial execution on the calling thread.
 //! * **Bitwise determinism** — each job derives its machine RNG seed
 //!   from a stable fingerprint of its own key ([`Job::seed`], built on
 //!   [`dsm_sim::StableHasher`]), never from scheduling order, thread
 //!   identity or global state. A sweep therefore produces *identical*
 //!   bytes whether it runs on 1 worker or 64.
 //! * **Memoization** — results are cached for the lifetime of the
-//!   process, keyed by the same job key. Bars shared between Figures
+//!   process, keyed by the job and [`RunEnv::key`]: the faults and
+//!   protocol every machine build applies. Bars shared between Figures
 //!   3/4/5, Figure 6, Table 1, the scaling sweep and the integration
-//!   tests are simulated exactly once per process. With `DSM_CACHE_DIR`
-//!   set, results also persist across processes through the
-//!   corruption-tolerant on-disk store in [`super::diskcache`].
+//!   tests are simulated exactly once per process and environment.
+//!   With a cache directory, results also persist across processes
+//!   through the corruption-tolerant on-disk store in
+//!   [`super::diskcache`], under the same key.
 //! * **Supervision** — failures carry a transient/deterministic
 //!   distinction: wall-clock timeouts ([`dsm_machine::RunError`]'s
-//!   `Timeout`, enabled by `DSM_WALL_LIMIT`) are retried with a bounded
-//!   deterministic backoff (`DSM_RETRIES`) and are never cached, while
-//!   deterministic failures (protocol errors, invariant violations,
-//!   lost updates) cache like successes. With `DSM_REPRO_DIR` set,
-//!   every deterministic failure also emits a failure dump and a
-//!   minimal replayable reproducer (see [`super::repro`]), referenced
-//!   from the error message.
+//!   `Timeout`, enabled by a wall limit) are retried with a bounded
+//!   deterministic backoff and are never cached, while deterministic
+//!   failures (protocol errors, invariant violations, lost updates)
+//!   cache like successes. With a reproducer directory, every
+//!   deterministic failure also emits a failure dump and a minimal
+//!   replayable reproducer (see [`super::repro`]), referenced from the
+//!   error message.
 //!
-//! Progress counters (jobs queued/running/done, cache hits, simulated
-//! cycles) are kept in [`stats`] so long sweeps can report progress;
-//! set `DSM_PROGRESS=1` to have every job completion logged to stderr.
+//! Every setting above comes from the [`RunEnv`] in force on the
+//! thread that submits a batch; the runner enters the same environment
+//! on each worker. Progress counters (jobs queued/running/done, cache
+//! hits, simulated cycles) are kept in [`stats`] so long sweeps can
+//! report progress; with [`RunEnv::progress`] every job completion is
+//! also logged to stderr.
 
 use crate::experiments::apps::{App, AppRun};
 use crate::experiments::counters::CounterPoint;
@@ -47,15 +49,14 @@ use crate::experiments::table1::Table1Row;
 use crate::experiments::{
     apps, counters, diskcache, lockfree, repro, table1, BarSpec, CounterKind, Scale,
 };
-use dsm_machine::{Machine, RunError, RunReport};
+use dsm_machine::{EnvKey, Machine, RunEnv, RunError, RunReport};
 use dsm_protocol::{CasVariant, LlscScheme, SyncPolicy};
 use dsm_sim::{Cycle, MachineConfig, ProtoVariant, StableHasher};
 use dsm_sync::{LinkPrim, Primitive};
 use dsm_workloads::LfStructure;
-use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Duration;
 
 /// One simulation point: everything needed to reproduce one machine
@@ -606,8 +607,11 @@ fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-fn cache() -> &'static Mutex<HashMap<Job, JobResult>> {
-    static CACHE: OnceLock<Mutex<HashMap<Job, JobResult>>> = OnceLock::new();
+/// The in-memory memo: results per environment key, then per job.
+type Memo = HashMap<EnvKey, HashMap<Job, JobResult>>;
+
+fn cache() -> &'static Mutex<Memo> {
+    static CACHE: OnceLock<Mutex<Memo>> = OnceLock::new();
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
@@ -676,68 +680,20 @@ pub fn clear_cache() {
     lock_recover(cache()).clear();
 }
 
-thread_local! {
-    static WORKER_OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
-    static RETRY_OVERRIDE: Cell<Option<u32>> = const { Cell::new(None) };
-}
-
-/// The worker count [`run_all`] will use on this thread: the
-/// [`with_workers`] override if active, else `DSM_JOBS` from the
-/// environment, else [`std::thread::available_parallelism`].
+/// The worker count [`run_all`] uses on this thread: that of the
+/// [`RunEnv`] in force.
 pub fn workers() -> usize {
-    if let Some(n) = WORKER_OVERRIDE.with(Cell::get) {
-        return n.max(1);
-    }
-    if let Ok(v) = std::env::var("DSM_JOBS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            return n.max(1);
-        }
-    }
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+    RunEnv::current().workers()
 }
 
-/// Runs `f` with the worker count pinned to `n` on this thread,
-/// restoring the previous setting afterwards (also on panic). This is
-/// how tests compare serial and parallel execution without touching
-/// the process environment.
+/// Runs `f` with the worker count pinned to `n` on this thread: a
+/// [`RunEnv::scope`] of the current environment with `jobs` set.
 pub fn with_workers<R>(n: usize, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<usize>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            WORKER_OVERRIDE.with(|c| c.set(self.0));
-        }
-    }
-    let _restore = Restore(WORKER_OVERRIDE.with(|c| c.replace(Some(n))));
-    f()
-}
-
-/// The transient-failure retry budget: the [`with_retries`] override if
-/// active, else `DSM_RETRIES` from the environment, else 2. A budget of
-/// `n` means a transiently failing job is attempted at most `1 + n`
-/// times before its failure is reported (uncached).
-pub fn retry_budget() -> u32 {
-    if let Some(n) = RETRY_OVERRIDE.with(Cell::get) {
-        return n;
-    }
-    std::env::var("DSM_RETRIES")
-        .ok()
-        .and_then(|v| v.trim().parse::<u32>().ok())
-        .unwrap_or(2)
-}
-
-/// Runs `f` with the transient-retry budget pinned to `n` on this
-/// thread, restoring the previous setting afterwards (also on panic).
-/// Like [`with_workers`], the override is thread-local: combine it with
-/// `with_workers(1, ..)` so jobs execute on the calling thread.
-pub fn with_retries<R>(n: u32, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<u32>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            RETRY_OVERRIDE.with(|c| c.set(self.0));
-        }
-    }
-    let _restore = Restore(RETRY_OVERRIDE.with(|c| c.replace(Some(n))));
-    f()
+    let env = RunEnv {
+        jobs: Some(n),
+        ..RunEnv::clone(&RunEnv::current())
+    };
+    RunEnv::scope(env, f)
 }
 
 /// The deterministic backoff schedule: 25 ms doubling per attempt,
@@ -830,19 +786,15 @@ where
         .collect()
 }
 
-fn try_execute_counted(
-    job: &Job,
-    retry_budget: u32,
-    repro_dir: Option<&std::path::Path>,
-) -> JobResult {
+fn try_execute_counted(job: &Job, env: &RunEnv) -> JobResult {
     JOBS_RUNNING.fetch_add(1, Ordering::Relaxed);
-    let out = retry_transient(retry_budget, || try_execute(job, repro_dir));
+    let out = retry_transient(env.retries, || try_execute(job, env.repro_dir.as_deref()));
     JOBS_RUNNING.fetch_sub(1, Ordering::Relaxed);
     JOBS_COMPLETED.fetch_add(1, Ordering::Relaxed);
     if let Ok(out) = &out {
         CYCLES_SIMULATED.fetch_add(out.cycles(), Ordering::Relaxed);
     }
-    if std::env::var_os("DSM_PROGRESS").is_some() {
+    if env.progress {
         let s = stats();
         eprintln!(
             "dsm-runner: {}/{} jobs done ({} cache hits, {} cycles simulated)",
@@ -866,13 +818,20 @@ fn try_execute_counted(
 /// its siblings; transient failures (wall-clock budget) are retried and
 /// never cached.
 pub fn try_run_all(jobs: &[Job]) -> Vec<JobResult> {
+    // The environment is captured here, on the calling thread, and
+    // entered on every worker, so a scoped environment applies at any
+    // worker count.
+    let env = RunEnv::current();
+    let key = env.key();
+
     // Partition into hits and (deduplicated, order-preserving) misses.
     let mut misses: Vec<Job> = Vec::new();
     {
         let cached = lock_recover(cache());
+        let memo = cached.get(&key);
         let mut seen: HashSet<&Job> = HashSet::new();
         for job in jobs {
-            if cached.contains_key(job) {
+            if memo.is_some_and(|m| m.contains_key(job)) {
                 CACHE_HITS.fetch_add(1, Ordering::Relaxed);
             } else if seen.insert(job) {
                 misses.push(job.clone());
@@ -880,20 +839,14 @@ pub fn try_run_all(jobs: &[Job]) -> Vec<JobResult> {
         }
     }
 
-    // Probe the persistent store for the misses. The cache directory,
-    // like the retry budget and the reproducer directory, is resolved
-    // here on the calling thread, so its thread-local test override
-    // applies, and handed to the workers. Each worker persists a result
-    // as soon as its job finishes: a run killed part-way through a
-    // batch keeps every job it finished.
-    let cache_dir = diskcache::dir();
+    // Probe the persistent store for the misses. Each worker persists a
+    // result as soon as its job finishes: a run killed part-way through
+    // a batch keeps every job it finished.
+    let cache_dir = env.cache_dir.as_deref();
     let mut fresh: HashMap<Job, JobResult> = HashMap::new();
     let mut to_run: Vec<Job> = Vec::new();
     for job in misses {
-        match cache_dir
-            .as_deref()
-            .and_then(|dir| diskcache::load(dir, &job))
-        {
+        match cache_dir.and_then(|dir| diskcache::load(dir, &key, &job)) {
             Some(result) => {
                 fresh.insert(job, result);
             }
@@ -903,35 +856,32 @@ pub fn try_run_all(jobs: &[Job]) -> Vec<JobResult> {
 
     if !to_run.is_empty() {
         JOBS_QUEUED.fetch_add(to_run.len() as u64, Ordering::Relaxed);
-        let budget = retry_budget();
-        let repro_dir = repro::dir();
-        let outputs = fan_out(&to_run, workers(), |job| {
-            let out = try_execute_counted(job, budget, repro_dir.as_deref());
-            if let Some(dir) = &cache_dir {
-                diskcache::store(dir, job, &out);
-            }
-            out
+        let outputs = fan_out(&to_run, env.workers(), |job| {
+            RunEnv::scope(Arc::clone(&env), || {
+                let out = try_execute_counted(job, &env);
+                if let Some(dir) = cache_dir {
+                    diskcache::store(dir, &key, job, &out);
+                }
+                out
+            })
         });
         fresh.extend(to_run.into_iter().zip(outputs));
     }
 
     // Publish cacheable fresh results (simulated or disk-loaded) to the
     // process-wide memory cache; transient failures stay out of it.
-    {
-        let mut cached = lock_recover(cache());
-        for (job, out) in &fresh {
-            if cacheable(out) {
-                cached.insert(job.clone(), out.clone());
-            }
+    let mut cached = lock_recover(cache());
+    let memo = cached.entry(key).or_default();
+    for (job, out) in &fresh {
+        if cacheable(out) {
+            memo.insert(job.clone(), out.clone());
         }
     }
-
-    let cached = lock_recover(cache());
     jobs.iter()
         .map(|job| {
             fresh
                 .get(job)
-                .or_else(|| cached.get(job))
+                .or_else(|| memo.get(job))
                 .expect("job simulated")
                 .clone()
         })
@@ -974,6 +924,7 @@ pub fn run_one(job: &Job) -> JobOutput {
 mod tests {
     use super::*;
     use crate::experiments::BarSpec;
+    use std::cell::Cell;
 
     fn tiny_counter_job(contention: u32) -> Job {
         Job::counter(
@@ -1122,13 +1073,6 @@ mod tests {
     }
 
     #[test]
-    fn with_retries_overrides_and_restores() {
-        let outer = retry_budget();
-        with_retries(7, || assert_eq!(retry_budget(), 7));
-        assert_eq!(retry_budget(), outer);
-    }
-
-    #[test]
     fn transient_failures_are_not_cached() {
         let job = tiny_counter_job(2);
         let transient: JobResult = Err(transient_error());
@@ -1150,7 +1094,11 @@ mod tests {
         let _serial = cache_test_guard();
         let dir = std::env::temp_dir().join(format!("dsm-runner-disk-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        diskcache::with_cache_dir(Some(&dir), || {
+        let env = RunEnv {
+            cache_dir: Some(dir.clone()),
+            ..RunEnv::clone(&RunEnv::current())
+        };
+        RunEnv::scope(env, || {
             let job = tiny_counter_job(3);
             clear_cache();
             let first = run_one(&job).into_counter();

@@ -4,6 +4,8 @@
 //!
 //! * [`Program`] / [`Action`] — the processor-program interface;
 //! * [`MachineBuilder`] / [`Machine`] — construction and the event loop;
+//! * [`RunEnv`] — the run environment machine builds take their
+//!   defaults from;
 //! * [`MachineStats`] — contention, write-run, message-chain and latency
 //!   instrumentation.
 //!
@@ -37,12 +39,14 @@
 
 #![deny(missing_docs)]
 
+pub mod env;
 pub mod machine;
 pub mod program;
 pub mod stats;
 pub mod trace;
 
-pub use machine::{with_fault_config, Machine, MachineBuilder, ProcDump, RunError, RunReport};
+pub use env::{EnvKey, RunEnv};
+pub use machine::{Machine, MachineBuilder, ProcDump, RunError, RunReport};
 pub use program::{Action, ProcCtx, Program};
 pub use stats::MachineStats;
 pub use trace::{new_trace, TraceRecorder, TraceReplay};

@@ -17,6 +17,7 @@
 //! deterministic per-node counters. The committed paper artifacts were
 //! generated under exactly this order, so it stays fixed.
 
+use crate::env::RunEnv;
 use crate::program::{Action, ProcCtx, Program};
 use crate::stats::{merge_node_stats, MachineStats, NodeStats, SyncRec, SyncRecKind};
 use dsm_mesh::{Mesh, NetPorts};
@@ -27,7 +28,7 @@ use dsm_protocol::{
 };
 use dsm_sim::{
     Addr, Cycle, EventQueue, FaultConfig, FaultEvent, FaultFilter, FaultInjector, FaultRecord,
-    LineAddr, MachineConfig, NodeId, ProcId, ProtoSpec, ProtoVariant, SimRng, StableHasher,
+    LineAddr, MachineConfig, NodeId, ProcId, ProtoVariant, SimRng, StableHasher,
 };
 use dsm_trace::{Category, StateLabel, TraceSpec, Tracer};
 use std::fmt;
@@ -1189,63 +1190,34 @@ pub struct MachineBuilder {
     init: Vec<(Addr, Value)>,
     llsc_pool: usize,
     trace: Option<TraceSpec>,
-    /// `DSM_PROTO` carried an `hna` clause: flip every registered
-    /// INV-policy sync line to home-node atomics at build time.
+    /// The environment's protocol spec carried an `hna` clause: flip
+    /// every registered INV-policy sync line to home-node atomics at
+    /// build time.
     hna: bool,
-}
-
-thread_local! {
-    static FAULT_OVERRIDE: std::cell::RefCell<Option<FaultConfig>> =
-        const { std::cell::RefCell::new(None) };
-}
-
-/// Runs `f` with every machine built on this thread using exactly
-/// `faults` — overriding both the configuration's own fault settings
-/// and the `DSM_FAULTS`/`DSM_PARANOID` environment. The previous
-/// override (if any) is restored afterwards, also on panic.
-///
-/// Reproducer replay uses this to pin the exact fault settings of the
-/// original failing run without mutating the process environment, which
-/// would race with concurrently building machines on other threads.
-pub fn with_fault_config<R>(faults: FaultConfig, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<FaultConfig>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            FAULT_OVERRIDE.with(|c| *c.borrow_mut() = self.0.take());
-        }
-    }
-    let _restore = Restore(FAULT_OVERRIDE.with(|c| c.borrow_mut().replace(faults)));
-    f()
 }
 
 impl MachineBuilder {
     /// Starts building a machine with the given configuration.
     ///
     /// When the configuration carries the default protocol settings
-    /// (DASH variant, one cluster, no cluster penalty), the `DSM_PROTO`
-    /// environment variable — a [`ProtoSpec::from_spec`] string such as
-    /// `mesif` or `hier,clusters=4,penalty=20` — is applied as an
-    /// override, mirroring how `DSM_FAULTS` works. Its `hna` clause is
-    /// remembered and flips every INV-policy sync line registered with
-    /// [`register_sync`](Self::register_sync) to home-node atomics when
-    /// [`build`](Self::build) runs. Explicit non-default configuration
-    /// always wins over the environment.
+    /// (DASH variant, one cluster, no cluster penalty), the protocol
+    /// spec of [`RunEnv::current`] is applied to it. Its `hna` clause
+    /// is remembered and flips every INV-policy sync line registered
+    /// with [`register_sync`](Self::register_sync) to home-node atomics
+    /// when [`build`](Self::build) runs. Explicit non-default
+    /// configuration always wins.
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is invalid or `DSM_PROTO` holds a
-    /// malformed spec.
+    /// Panics if the configuration is invalid.
     pub fn new(mut cfg: MachineConfig) -> Self {
         let mut hna = false;
         let proto_is_default =
             cfg.proto == ProtoVariant::Dash && cfg.clusters == 1 && cfg.params.cluster_penalty == 0;
         if proto_is_default {
-            if let Ok(spec) = std::env::var("DSM_PROTO") {
-                let spec = ProtoSpec::from_spec(&spec)
-                    .unwrap_or_else(|e| panic!("invalid DSM_PROTO spec: {e}"));
-                spec.apply(&mut cfg);
-                hna = spec.home_atomics;
-            }
+            let spec = RunEnv::current().proto;
+            spec.apply(&mut cfg);
+            hna = spec.home_atomics;
         }
         cfg.validate().expect("invalid machine configuration");
         let line_size = cfg.params.line_size;
@@ -1262,8 +1234,8 @@ impl MachineBuilder {
 
     /// Enables structured event tracing for the built machine (see
     /// [`TraceSpec`] for sink and category selection). An explicit spec
-    /// set here takes precedence over the `DSM_TRACE` environment
-    /// variable.
+    /// set here takes precedence over the trace spec of
+    /// [`RunEnv::current`].
     pub fn with_trace(&mut self, spec: TraceSpec) -> &mut Self {
         self.trace = Some(spec);
         self
@@ -1296,22 +1268,19 @@ impl MachineBuilder {
 
     /// Builds the machine.
     ///
-    /// When the configuration carries no fault settings, the
-    /// environment variables `DSM_FAULTS` (a
-    /// [`FaultConfig::from_spec`] string) and `DSM_PARANOID=1` are
-    /// honored as overrides, so a whole test suite can be run under
-    /// fault injection or paranoid invariant checking without code
-    /// changes. An explicit [`MachineConfig::faults`] always wins, and
-    /// a [`with_fault_config`] override on the building thread wins
-    /// over both (reproducer replay relies on this).
-    /// Likewise, when no trace spec was set with
-    /// [`with_trace`](MachineBuilder::with_trace), `DSM_TRACE` (a
-    /// [`TraceSpec::from_spec`] string) enables tracing.
+    /// When the configuration carries no fault settings, the faults
+    /// (paranoid checking included) of [`RunEnv::current`] apply, so a
+    /// whole test suite can run under fault injection or paranoid
+    /// invariant checking without code changes. An explicit
+    /// [`MachineConfig::faults`] always wins. Likewise, when no trace
+    /// spec was set with [`with_trace`](MachineBuilder::with_trace),
+    /// the environment's trace spec applies, and so does its
+    /// wall-clock budget.
     ///
     /// # Panics
     ///
     /// Panics if the number of programs does not equal the number of
-    /// nodes, or if `DSM_FAULTS` / `DSM_TRACE` holds a malformed spec.
+    /// nodes.
     pub fn build(mut self) -> Machine {
         assert_eq!(
             self.programs.len(),
@@ -1320,28 +1289,15 @@ impl MachineBuilder {
             self.programs.len(),
             self.cfg.nodes
         );
-        let mut faults = self.cfg.faults.clone();
-        if let Some(pinned) = FAULT_OVERRIDE.with(|c| c.borrow().clone()) {
-            faults = pinned;
-        } else if !faults.is_active() {
-            if let Ok(spec) = std::env::var("DSM_FAULTS") {
-                faults = FaultConfig::from_spec(&spec)
-                    .unwrap_or_else(|e| panic!("invalid DSM_FAULTS spec: {e}"));
-            }
-            if std::env::var("DSM_PARANOID").is_ok_and(|v| v == "1") {
-                faults.paranoid = true;
-            }
+        let env = RunEnv::current();
+        if !self.cfg.faults.is_active() {
+            self.cfg.faults = env.faults.clone();
         }
-        // Record the *effective* fault settings on the machine, so the
+        // The machine keeps the *effective* fault settings, so the
         // supervision layer can capture them into reproducer artifacts
         // regardless of where they came from.
-        self.cfg.faults = faults.clone();
-        let trace_spec = self.trace.or_else(|| {
-            std::env::var("DSM_TRACE").ok().map(|spec| {
-                TraceSpec::from_spec(&spec)
-                    .unwrap_or_else(|e| panic!("invalid DSM_TRACE spec: {e}"))
-            })
-        });
+        let faults = self.cfg.faults.clone();
+        let trace_spec = self.trace.or_else(|| env.trace.clone());
         let tracer = trace_spec.map(|spec| Box::new(Tracer::new(&spec, self.cfg.nodes)));
         let mesh = Mesh::new(&self.cfg);
         let mut seed_rng = SimRng::new(self.cfg.seed);
@@ -1428,11 +1384,7 @@ impl MachineBuilder {
             injected_evictions: 0,
             injected_wipes: 0,
             injected_corruptions: 0,
-            wall_limit: std::env::var("DSM_WALL_LIMIT")
-                .ok()
-                .and_then(|v| v.parse::<u64>().ok())
-                .filter(|&ms| ms > 0)
-                .map(Duration::from_millis),
+            wall_limit: env.wall_limit,
         };
         for (addr, value) in self.init {
             machine.poke_word(addr, value);
@@ -1549,8 +1501,8 @@ impl Machine {
     /// [`RunError::Protocol`] if a protocol engine reached an illegal
     /// state, [`RunError::Invariant`] if paranoid checking found a
     /// violated invariant, or [`RunError::Timeout`] when a wall-clock
-    /// budget ([`set_wall_limit`](Machine::set_wall_limit) or
-    /// `DSM_WALL_LIMIT`) elapses before the run finishes.
+    /// budget ([`RunEnv::wall_limit`] at build time) elapses before the
+    /// run finishes.
     pub fn run(&mut self, limit: Cycle) -> Result<RunReport, RunError> {
         self.core.park_bound = self.park_bound();
         let result = self.run_inner(limit);
@@ -1642,13 +1594,6 @@ impl Machine {
             cycles: finished,
             events: self.core.events_processed,
         })
-    }
-
-    /// Sets (or clears) the wall-clock budget applied to each
-    /// [`run`](Machine::run) call, overriding the `DSM_WALL_LIMIT`
-    /// environment variable read at build time.
-    pub fn set_wall_limit(&mut self, limit: Option<Duration>) {
-        self.wall_limit = limit;
     }
 
     /// Applies the window faults due at the current time, if any.
@@ -1792,10 +1737,9 @@ impl Machine {
     }
 
     /// The *effective* fault configuration this machine was built with:
-    /// the explicit [`MachineConfig::faults`], a [`with_fault_config`]
-    /// override, or the `DSM_FAULTS`/`DSM_PARANOID` environment —
-    /// whichever won at build time. Reproducer artifacts capture this
-    /// so a replay pins identical fault behaviour.
+    /// the explicit [`MachineConfig::faults`] or those of the
+    /// [`RunEnv`] in force at build time. Reproducer artifacts capture
+    /// this so a replay pins identical fault behaviour.
     pub fn fault_config(&self) -> &FaultConfig {
         &self.core.cfg.faults
     }
@@ -1990,7 +1934,7 @@ impl Machine {
     }
 
     /// The structured event tracer, if tracing is enabled (via
-    /// [`MachineBuilder::with_trace`] or `DSM_TRACE`).
+    /// [`MachineBuilder::with_trace`] or [`RunEnv::trace`]).
     pub fn tracer(&self) -> Option<&Tracer> {
         self.core.tracer.as_deref()
     }

@@ -169,7 +169,7 @@ impl ProtoVariant {
 /// assert!(!s.home_atomics);
 /// assert!(ProtoSpec::from_spec("bogus").is_err());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct ProtoSpec {
     /// Directory variant to run.
     pub variant: ProtoVariant,

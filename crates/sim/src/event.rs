@@ -366,23 +366,20 @@ impl<E> EventQueue<E> {
     /// Feeds the queue's complete pending-event state into `h`, using
     /// `f` to hash each event payload.
     ///
-    /// Wheel events are visited first, then far-heap events, each part
-    /// in pop order — `(cycle, key)` — and each event is hashed together
-    /// with its cycle and key. That is the queue's pop order unless a
-    /// far-heap event (pushed beyond the horizon before the window
-    /// caught up with it) sorts before a wheel event; only then does the
-    /// wheel/heap split show in the digest. The window base, bucket
-    /// layout and slab slots do not enter it. The insertion counter
-    /// *is* included: it determines the tie-break order of future
-    /// auto-keyed pushes.
+    /// Events are visited in pop order — `(cycle, key)`, wheel and far
+    /// heap merged — and each event is hashed together with its cycle
+    /// and key. Two queues holding the
+    /// same pending events therefore digest equal whatever their window
+    /// history: the window base, the wheel/heap split, bucket layout and
+    /// slab slots do not enter it. The insertion counter *is* included:
+    /// it determines the tie-break order of future auto-keyed pushes.
     pub fn digest_with(&self, h: &mut StableHasher, mut f: impl FnMut(&E, &mut StableHasher)) {
         h.write_u64(self.next_seq);
         h.write_usize(self.len());
+        let mut pending: Vec<(u64, u128, &E)> = Vec::with_capacity(self.len());
         if self.wheel_len > 0 {
             // The window is exactly WHEEL_SIZE cycles wide, so each
-            // bucket holds events of a single cycle; walk the window in
-            // time order and each bucket in key order to visit wheel
-            // events in pop order.
+            // bucket holds events of a single cycle.
             for i in 0..WHEEL_SIZE as u64 {
                 let t = self.base + i;
                 let b = t as usize & WHEEL_MASK;
@@ -392,21 +389,23 @@ impl<E> EventQueue<E> {
                 let mut idx = self.buckets[b].head;
                 while idx != NIL {
                     let slot = &self.slab[idx as usize];
-                    h.write_u64(t);
-                    h.write_u64((slot.key >> 64) as u64);
-                    h.write_u64(slot.key as u64);
-                    f(slot.event.as_ref().expect("listed slot holds an event"), h);
+                    let event = slot.event.as_ref().expect("listed slot holds an event");
+                    pending.push((t, slot.key, event));
                     idx = slot.next;
                 }
             }
         }
-        let mut far: Vec<&Entry<E>> = self.far.iter().collect();
-        far.sort_by_key(|e| e.key.0);
-        for e in far {
-            h.write_u64(e.key.0 .0.as_u64());
-            h.write_u64((e.key.0 .1 >> 64) as u64);
-            h.write_u64(e.key.0 .1 as u64);
-            f(&e.event, h);
+        let far = self
+            .far
+            .iter()
+            .map(|e| (e.key.0 .0.as_u64(), e.key.0 .1, &e.event));
+        pending.extend(far);
+        pending.sort_by_key(|&(t, key, _)| (t, key));
+        for (t, key, event) in pending {
+            h.write_u64(t);
+            h.write_u64((key >> 64) as u64);
+            h.write_u64(key as u64);
+            f(event, h);
         }
     }
 
@@ -431,7 +430,6 @@ mod tests {
     use super::*;
     use crate::hash::StableHasher;
     use crate::rng::SimRng;
-    use std::collections::HashSet;
 
     #[test]
     fn pops_in_time_order() {
@@ -546,6 +544,39 @@ mod tests {
         assert_eq!(q.pop().unwrap(), (Cycle::new(5000), "b"));
     }
 
+    /// The same pending events digest alike whether or not the window
+    /// caught up with an event that was pushed beyond the horizon.
+    #[test]
+    fn digest_is_independent_of_window_history() {
+        let digest = |q: &EventQueue<&str>| {
+            let mut h = StableHasher::new();
+            q.digest_with(&mut h, |e, h| h.write_str(e));
+            h.finish()
+        };
+        // Caught up: "far" went to the far heap at base 0; the window
+        // then slid to 4500, and "near" (a wheel event) sorts after it.
+        let mut caught_up = EventQueue::new();
+        caught_up.push_keyed(Cycle::new(0), 0, "warm");
+        caught_up.push_keyed(Cycle::new(5000), 1, "far");
+        assert_eq!(caught_up.pop_keyed(), Some((Cycle::new(0), 0, "warm")));
+        caught_up.push_keyed(Cycle::new(4500), 2, "advance");
+        assert_eq!(
+            caught_up.pop_keyed(),
+            Some((Cycle::new(4500), 2, "advance"))
+        );
+        caught_up.push_keyed(Cycle::new(5001), 3, "near");
+        assert_eq!(caught_up.far.len(), 1, "\"far\" stays in the far heap");
+        // Direct: the same two events pushed into a fresh window, both
+        // into the wheel.
+        let mut direct = EventQueue::new();
+        direct.push_keyed(Cycle::new(5000), 1, "far");
+        direct.push_keyed(Cycle::new(5001), 3, "near");
+        assert!(direct.far.is_empty());
+        // Same pending set and insertion counter (keyed pushes leave it
+        // at 0), so the digests must agree.
+        assert_eq!(digest(&caught_up), digest(&direct));
+    }
+
     /// The original heap-only queue, kept as the ordering oracle: one
     /// heap ordered by `(cycle, key)`, auto keys from its own counter.
     struct HeapQueue<E> {
@@ -584,29 +615,18 @@ mod tests {
         }
 
         /// What [`EventQueue::digest_with`] must produce: the counter,
-        /// the length, then the events the queue keeps in its wheel and
-        /// then those `in_far` its far heap, each part in `(cycle, key)`
+        /// the length, then every pending event in `(cycle, key)`
         /// order.
-        fn digest_with(
-            &self,
-            h: &mut StableHasher,
-            in_far: impl Fn(&E) -> bool,
-            mut f: impl FnMut(&E, &mut StableHasher),
-        ) {
+        fn digest_with(&self, h: &mut StableHasher, mut f: impl FnMut(&E, &mut StableHasher)) {
             h.write_u64(self.next_seq);
             h.write_usize(self.heap.len());
             let mut pending: Vec<_> = self.heap.iter().map(|Reverse(e)| *e).collect();
             pending.sort();
-            for far in [false, true] {
-                for &(at, key, idx) in &pending {
-                    let event = self.events[idx].as_ref().expect("pending");
-                    if in_far(event) == far {
-                        h.write_u64(at.as_u64());
-                        h.write_u64((key >> 64) as u64);
-                        h.write_u64(key as u64);
-                        f(event, h);
-                    }
-                }
+            for (at, key, idx) in pending {
+                h.write_u64(at.as_u64());
+                h.write_u64((key >> 64) as u64);
+                h.write_u64(key as u64);
+                f(self.events[idx].as_ref().expect("pending"), h);
             }
         }
     }
@@ -691,11 +711,8 @@ mod tests {
                 assert_eq!(wheel.peek_time(), heap.peek_time(), "peek at step {step}");
                 let mut a = StableHasher::new();
                 wheel.digest_with(&mut a, |e, h| h.write_u64(*e));
-                // The queue hashes its wheel before its far heap; take
-                // the split from the queue and the order from the oracle.
-                let far: HashSet<u64> = wheel.far.iter().map(|e| e.event).collect();
                 let mut b = StableHasher::new();
-                heap.digest_with(&mut b, |e| far.contains(e), |e, h| h.write_u64(*e));
+                heap.digest_with(&mut b, |e, h| h.write_u64(*e));
                 assert_eq!(a.finish(), b.finish(), "digest at step {step}");
                 digests += 1;
             }

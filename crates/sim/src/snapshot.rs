@@ -34,10 +34,12 @@ pub const MAGIC: [u8; 8] = *b"DSMSNAP\0";
 /// Version history: v1 = initial container; v2 = cache-entry payloads
 /// carry a per-job latency histogram and the standalone `Histogram`
 /// payload kind exists; v3 = job encodings carry the protocol-variant
-/// fields (proto, clusters, cluster penalty, home atomics). Old entries
+/// fields (proto, clusters, cluster penalty, home atomics); v4 = cache
+/// entries and reproducers carry the run environment's key (faults,
+/// paranoid checking, protocol spec) after the job encoding. Old entries
 /// surface as `BadVersion`, get quarantined by their consumers, and are
 /// regenerated deterministically.
-pub const FORMAT_VERSION: u32 = 3;
+pub const FORMAT_VERSION: u32 = 4;
 
 /// What a container's payload encodes. Stored in the header so a
 /// reproducer can never be misread as a cache entry or vice versa.

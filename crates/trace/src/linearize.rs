@@ -275,25 +275,27 @@ pub fn check<S: SeqSpec>(spec: &S, history: &History) -> Result<(), Rejection> {
 /// the rejection reason to an artifact file (for CI upload) and then
 /// panics.
 ///
-/// The artifact lands in the directory named by the `DSM_LIN_REJECTS`
-/// environment variable, default `target/lin-rejected`, as
-/// `<name>.txt`.
+/// The artifact lands in `rejects` as `<name>.txt`; the directory is
+/// created if needed.
 ///
 /// # Panics
 ///
 /// Panics when the history is rejected.
-pub fn assert_linearizable<S: SeqSpec>(name: &str, spec: &S, history: &History) {
+pub fn assert_linearizable<S: SeqSpec>(
+    name: &str,
+    spec: &S,
+    history: &History,
+    rejects: &std::path::Path,
+) {
     let Err(rejection) = check(spec, history) else {
         return;
     };
-    let dir =
-        std::env::var("DSM_LIN_REJECTS").unwrap_or_else(|_| "target/lin-rejected".to_string());
-    let path = std::path::Path::new(&dir).join(format!("{name}.txt"));
+    let path = rejects.join(format!("{name}.txt"));
     let body = format!(
         "history `{name}` rejected: {rejection}\n\n{}",
         history.render()
     );
-    let saved = std::fs::create_dir_all(&dir)
+    let saved = std::fs::create_dir_all(rejects)
         .and_then(|()| std::fs::write(&path, &body))
         .map(|()| path.display().to_string());
     match saved {

@@ -25,8 +25,16 @@ use atomic_dsm::trace::{
     Rejection, SetSpec,
 };
 use atomic_dsm::workloads::{build_lockfree, check_invariants, LfConfig, LfStructure};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
+
+/// Where rejected histories are written: `$DSM_LIN_REJECTS` when set
+/// (CI uploads that directory on failure), else `target/lin-rejected`.
+fn rejects_dir() -> PathBuf {
+    std::env::var_os("DSM_LIN_REJECTS")
+        .map_or_else(|| PathBuf::from("target/lin-rejected"), PathBuf::from)
+}
 
 const LIMIT: Cycle = Cycle::new(5_000_000_000);
 
@@ -79,8 +87,10 @@ fn run_and_check(structure: LfStructure, prim: LinkPrim, policy: SyncPolicy, fau
     check_invariants(&m, &cfg, &run).unwrap_or_else(|e| panic!("{label}: {e}"));
     let hist = run.history.lock().unwrap();
     match structure {
-        LfStructure::Queue => assert_linearizable(&label, &FifoQueueSpec, &hist),
-        LfStructure::List | LfStructure::Map => assert_linearizable(&label, &SetSpec, &hist),
+        LfStructure::Queue => assert_linearizable(&label, &FifoQueueSpec, &hist, &rejects_dir()),
+        LfStructure::List | LfStructure::Map => {
+            assert_linearizable(&label, &SetSpec, &hist, &rejects_dir())
+        }
     }
 }
 
@@ -373,7 +383,6 @@ fn aba_buggy_stack_pop_is_rejected() {
 fn rejected_history_writes_an_artifact() {
     let dir = std::path::Path::new("target").join("lin-rejects-selftest");
     let _ = std::fs::remove_dir_all(&dir);
-    std::env::set_var("DSM_LIN_REJECTS", &dir);
 
     let mut h = History::new();
     for (t, op, ret) in [
@@ -390,9 +399,8 @@ fn rejected_history_writes_an_artifact() {
         });
     }
     let result = std::panic::catch_unwind(|| {
-        assert_linearizable("artifact-selftest", &LifoStackSpec, &h);
+        assert_linearizable("artifact-selftest", &LifoStackSpec, &h, &dir);
     });
-    std::env::remove_var("DSM_LIN_REJECTS");
     assert!(result.is_err(), "a non-linearizable history must panic");
     let artifact = dir.join("artifact-selftest.txt");
     let text = std::fs::read_to_string(&artifact)

@@ -19,7 +19,15 @@ use atomic_dsm::trace::{assert_linearizable, HistEvent, HistOp, HistRet, History
 use atomic_dsm::workloads::step_action;
 use atomic_dsm::{SyncConfig, SyncPolicy};
 use std::collections::HashSet;
+use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
+
+/// Where rejected histories are written: `$DSM_LIN_REJECTS` when set
+/// (CI uploads that directory on failure), else `target/lin-rejected`.
+fn rejects_dir() -> PathBuf {
+    std::env::var_os("DSM_LIN_REJECTS")
+        .map_or_else(|| PathBuf::from("target/lin-rejected"), PathBuf::from)
+}
 
 const LIMIT: Cycle = Cycle::new(5_000_000_000);
 
@@ -148,7 +156,7 @@ fn run_stress(prim: StackPrim, policy: SyncPolicy, nodes: u32, per_proc: u64) {
     assert_eq!(hist.len(), (nodes as usize) * (per_proc as usize) * 2);
     if hist.len() <= MAX_OPS {
         let name = format!("stack-{prim:?}-{policy}-n{nodes}");
-        assert_linearizable(&name, &LifoStackSpec, &hist);
+        assert_linearizable(&name, &LifoStackSpec, &hist, &rejects_dir());
     }
 }
 

@@ -4,11 +4,14 @@
 //! byte-identical result — corruption costs time, never correctness and
 //! never a panic. Entries appear atomically, hits skip simulation, and
 //! a populated store survives process "restarts" (simulated here by
-//! clearing the in-memory memo).
+//! clearing the in-memory memo). Every setting of the run environment
+//! that can change a result keys both caches.
 
 use atomic_dsm::experiments::runner::{self, Job, JobResult};
-use atomic_dsm::experiments::{diskcache, BarSpec, CounterKind};
+use atomic_dsm::experiments::{BarSpec, CounterKind};
+use atomic_dsm::machine::RunEnv;
 use atomic_dsm::protocol::SyncPolicy;
+use atomic_dsm::sim::{FaultConfig, ProtoSpec};
 use atomic_dsm::sync::Primitive;
 use atomic_dsm::MachineConfig;
 use std::path::{Path, PathBuf};
@@ -57,13 +60,28 @@ fn entries(dir: &Path) -> Vec<PathBuf> {
     v
 }
 
+/// The environment with no `DSM_*` variable set, storing in `dir`.
+fn env_in(dir: Option<&Path>) -> RunEnv {
+    RunEnv {
+        cache_dir: dir.map(Path::to_path_buf),
+        ..RunEnv::default()
+    }
+}
+
+/// Runs `job` under `env` with the memo as it is.
+fn run_in(env: &RunEnv, job: &Job) -> JobResult {
+    RunEnv::scope(env.clone(), || runner::try_run_one(job))
+}
+
 /// Runs `job` as a "fresh process": in-memory memo cleared first, so
 /// the only cache that can answer is the disk store.
 fn run_fresh(dir: &Path, job: &Job) -> JobResult {
-    diskcache::with_cache_dir(Some(dir), || {
-        runner::clear_cache();
-        runner::try_run_one(job)
-    })
+    run_fresh_in(&env_in(Some(dir)), job)
+}
+
+fn run_fresh_in(env: &RunEnv, job: &Job) -> JobResult {
+    runner::clear_cache();
+    run_in(env, job)
 }
 
 /// Populate → corrupt the entry in three different ways → every time
@@ -150,59 +168,136 @@ fn disabled_store_writes_nothing() {
     let dir = scratch("disabled");
     let job = tiny_job(8);
     let before = runner::stats();
-    diskcache::with_cache_dir(None, || {
-        runner::clear_cache();
-        let _ = runner::try_run_one(&job);
-    });
+    let _ = run_fresh_in(&env_in(None), &job);
     let after = runner::stats();
     assert_eq!(after.disk_stores, before.disk_stores);
     assert!(entries(&dir).is_empty());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `DSM_PROTO` changes every machine a job builds without entering the
-/// job key, so it must key the store: a DASH result cached by
-/// `figures fig3` must not be served to `figures fig3 --proto=mesif,hna`
-/// (which reported "0 jobs simulated" and printed the DASH tables).
-#[test]
-fn a_proto_run_is_not_served_a_cached_default_result() {
-    struct RestoreProto(Option<std::ffi::OsString>);
-    impl Drop for RestoreProto {
-        fn drop(&mut self) {
-            match self.0.take() {
-                Some(v) => std::env::set_var("DSM_PROTO", v),
-                None => std::env::remove_var("DSM_PROTO"),
-            }
-        }
-    }
+/// One result-changing setting of the run environment keys both
+/// caches. Within one process and without clearing the memo, a run
+/// under `knob` is simulated afresh and differs from the run under
+/// `base`; a disk-cached run under `knob` then equals the uncached one,
+/// and a run under `base` still gets its own result back.
+fn knob_keys_the_caches(name: &str, base: RunEnv, knob: RunEnv) {
     let _guard = exclusive();
-    let _restore = RestoreProto(std::env::var_os("DSM_PROTO"));
-    let dir = scratch("proto");
-    let job = tiny_job(4);
-    std::env::remove_var("DSM_PROTO");
-    let dash = render(&run_fresh(&dir, &job));
-
-    std::env::set_var("DSM_PROTO", "mesif,hna");
-    let before = runner::stats();
-    let cached = render(&run_fresh(&dir, &job));
-    let after = runner::stats();
-    let uncached = render(&diskcache::with_cache_dir(None, || {
-        runner::clear_cache();
-        runner::try_run_one(&job)
-    }));
+    let dir = scratch(name);
+    let job = tiny_job(8);
+    let with_dir = |env: &RunEnv| RunEnv {
+        cache_dir: Some(dir.clone()),
+        ..env.clone()
+    };
+    let before = render(&run_in(&base, &job));
+    let simulated = runner::stats().completed;
+    let uncached = render(&run_in(&knob, &job));
     assert_eq!(
-        after.disk_hits, before.disk_hits,
-        "the DASH entry was served"
+        runner::stats().completed,
+        simulated + 1,
+        "{name}: the memo served the base environment's result"
     );
+    assert_ne!(
+        uncached, before,
+        "{name}: the job must tell the settings apart"
+    );
+    assert_eq!(render(&run_in(&base, &job)), before, "{name}: base result");
+
+    // Simulate and store, then serve from disk as a fresh process.
+    assert_eq!(render(&run_fresh_in(&with_dir(&knob), &job)), uncached);
+    let hits = runner::stats().disk_hits;
+    let cached = render(&run_fresh_in(&with_dir(&knob), &job));
+    assert_eq!(runner::stats().disk_hits, hits + 1, "{name}: no disk hit");
     assert_eq!(
         cached, uncached,
-        "a cached --proto run must equal an uncached one"
+        "{name}: a cached run must equal an uncached one"
     );
-    assert_ne!(cached, dash, "the job must tell the protocols apart");
+    // The base environment is not served the knob's entry.
+    assert_eq!(render(&run_fresh_in(&with_dir(&base), &job)), before);
+    assert_eq!(
+        runner::stats().disk_hits,
+        hits + 1,
+        "{name}: served across settings"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
 
-    // Another spelling of the same protocol shares the new entry.
-    std::env::set_var("DSM_PROTO", "hna, mesif");
-    assert_eq!(render(&run_fresh(&dir, &job)), cached);
-    assert_eq!(runner::stats().disk_hits, after.disk_hits + 1);
+fn with_faults(faults: FaultConfig) -> RunEnv {
+    RunEnv {
+        faults,
+        ..RunEnv::default()
+    }
+}
+
+fn with_proto(spec: &str) -> RunEnv {
+    RunEnv {
+        proto: ProtoSpec::from_spec(spec).unwrap(),
+        ..RunEnv::default()
+    }
+}
+
+/// `--faults` / `DSM_FAULTS`.
+#[test]
+fn faults_key_the_caches() {
+    knob_keys_the_caches(
+        "faults",
+        RunEnv::default(),
+        with_faults(FaultConfig::light()),
+    );
+}
+
+/// `--paranoid` / `DSM_PARANOID`: it changes a result only when there
+/// is a violation to catch, so the base environment corrupts the
+/// directory too (a correct run is the same with and without the
+/// checker).
+#[test]
+fn paranoid_keys_the_caches() {
+    let corrupt = FaultConfig::from_spec("corrupt=2000,period=64").unwrap();
+    let paranoid = FaultConfig {
+        paranoid: true,
+        ..corrupt.clone()
+    };
+    knob_keys_the_caches("paranoid", with_faults(corrupt), with_faults(paranoid));
+}
+
+/// `--proto` / `DSM_PROTO` without home-node atomics. The cached
+/// result used to be served to a `--proto` run: `figures fig3` then
+/// `figures fig3 --proto=mesif,hna` reported "0 jobs simulated" and
+/// printed the DASH tables.
+#[test]
+fn a_proto_run_is_not_served_a_cached_default_result() {
+    knob_keys_the_caches("proto", RunEnv::default(), with_proto("mesif"));
+}
+
+/// The `hna` clause alone, on the default directory protocol.
+#[test]
+fn home_atomics_key_the_caches() {
+    knob_keys_the_caches("hna", RunEnv::default(), with_proto("hna"));
+}
+
+/// Two spellings of one setting share one disk entry: fault presets
+/// and their `key=value` expansion, and reordered protocol clauses.
+#[test]
+fn spellings_of_one_setting_share_an_entry() {
+    let _guard = exclusive();
+    let dir = scratch("spellings");
+    let job = tiny_job(4);
+    let env = |faults: &str, proto: &str| RunEnv {
+        faults: FaultConfig::from_spec(faults).unwrap(),
+        proto: ProtoSpec::from_spec(proto).unwrap(),
+        cache_dir: Some(dir.clone()),
+        ..RunEnv::default()
+    };
+    let first = render(&run_fresh_in(&env("light", "mesif,hna"), &job));
+    assert_eq!(entries(&dir).len(), 1);
+    let hits = runner::stats().disk_hits;
+    let spelled = FaultConfig::light().to_spec();
+    let again = render(&run_fresh_in(&env(&spelled, "hna, mesif"), &job));
+    assert_eq!(again, first);
+    assert_eq!(runner::stats().disk_hits, hits + 1, "expected a disk hit");
+    assert_eq!(
+        entries(&dir).len(),
+        1,
+        "a second spelling wrote its own entry"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -6,7 +6,7 @@
 //! of the merged statistics.
 
 use atomic_dsm::experiments::paper_bars;
-use atomic_dsm::machine::{with_fault_config, Action, Machine, MachineBuilder, ProcCtx, RunError};
+use atomic_dsm::machine::{Action, Machine, MachineBuilder, ProcCtx, RunEnv, RunError};
 use atomic_dsm::protocol::{MemOp, SyncConfig, SyncPolicy};
 use atomic_dsm::sim::{Addr, Cycle, FaultConfig, MachineConfig, ProtoSpec, StableHasher};
 use atomic_dsm::sync::{LinkPrim, PrimChoice, Primitive};
@@ -28,12 +28,16 @@ fn fingerprint(m: &Machine, cycles: Cycle, events: u64) -> Fingerprint {
     (cycles.as_u64(), events, m.state_digest(), h.finish())
 }
 
-/// Builds a machine for the plain engine whatever the test environment
-/// says (`DSM_PARANOID`, `DSM_FAULTS`), and, when `literal`, attaches a
-/// tracer with no sinks: it writes nothing but forces the literal
-/// engine.
+/// Builds a machine for the plain engine whatever faults the test
+/// environment asks for (`DSM_PARANOID`, `DSM_FAULTS`), and, when
+/// `literal`, attaches a tracer with no sinks: it writes nothing but
+/// forces the literal engine.
 fn machine(build: &dyn Fn() -> Machine, literal: bool) -> Machine {
-    let mut m = with_fault_config(FaultConfig::default(), build);
+    let env = RunEnv {
+        faults: FaultConfig::default(),
+        ..RunEnv::clone(&RunEnv::current())
+    };
+    let mut m = RunEnv::scope(env, build);
     if literal {
         m.attach_tracer(&TraceSpec {
             perfetto: false,

@@ -3,19 +3,22 @@
 //! budget, and never cached anywhere; deterministic fault-implicated
 //! failures are auto-shrunk to a minimal reproducer plus a plain-text
 //! dump, both referenced from the failing job's error message; and a
-//! saved reproducer replays the failure in a fresh context.
+//! saved reproducer replays the failure in a fresh context, under the
+//! faults and protocol it recorded.
 
 use atomic_dsm::experiments::runner::{self, Job};
-use atomic_dsm::experiments::{diskcache, repro, BarSpec, CounterKind};
+use atomic_dsm::experiments::{repro, BarSpec, CounterKind};
+use atomic_dsm::machine::{EnvKey, RunEnv};
 use atomic_dsm::protocol::SyncPolicy;
-use atomic_dsm::sim::FaultConfig;
+use atomic_dsm::sim::{FaultConfig, ProtoSpec};
 use atomic_dsm::sync::Primitive;
 use atomic_dsm::MachineConfig;
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard};
+use std::time::Duration;
 
 /// These tests mutate process-global state (the runner's memo and
-/// counters; one test sets `DSM_WALL_LIMIT`), so they serialize.
+/// counters), so they serialize.
 static EXCLUSIVE: Mutex<()> = Mutex::new(());
 
 fn exclusive() -> MutexGuard<'static, ()> {
@@ -24,24 +27,11 @@ fn exclusive() -> MutexGuard<'static, ()> {
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Restores a mutated environment variable on drop (also on panic).
-struct EnvGuard(&'static str, Option<std::ffi::OsString>);
-
-impl EnvGuard {
-    fn set(key: &'static str, value: &str) -> Self {
-        let prev = std::env::var_os(key);
-        std::env::set_var(key, value);
-        EnvGuard(key, prev)
-    }
-}
-
-impl Drop for EnvGuard {
-    fn drop(&mut self) {
-        match self.1.take() {
-            Some(v) => std::env::set_var(self.0, v),
-            None => std::env::remove_var(self.0),
-        }
-    }
+/// Runs `body` under the current run environment as changed by `set`.
+fn scoped<R>(set: impl FnOnce(&mut RunEnv), body: impl FnOnce() -> R) -> R {
+    let mut env = RunEnv::clone(&RunEnv::current());
+    set(&mut env);
+    RunEnv::scope(env, body)
 }
 
 fn scratch(name: &str) -> PathBuf {
@@ -89,18 +79,20 @@ fn wall_clock_timeout_is_transient_retried_and_never_cached() {
     std::fs::create_dir_all(&dir).unwrap();
     // Large enough that the wall check (every 8192 events) fires.
     let job = counter_job(16, 64, FaultConfig::default());
-    let (err, retries_used, stored) = {
-        let _env = EnvGuard::set("DSM_WALL_LIMIT", "1");
-        diskcache::with_cache_dir(Some(&dir), || {
-            runner::with_retries(2, || {
-                runner::clear_cache();
-                let before = runner::stats().retries;
-                let err = runner::try_run_one(&job).expect_err("1ms budget must time out");
-                let stored = std::fs::read_dir(&dir).unwrap().count();
-                (err, runner::stats().retries - before, stored)
-            })
-        })
-    };
+    let (err, retries_used, stored) = scoped(
+        |env| {
+            env.wall_limit = Some(Duration::from_millis(1));
+            env.cache_dir = Some(dir.clone());
+            env.retries = 2;
+        },
+        || {
+            runner::clear_cache();
+            let before = runner::stats().retries;
+            let err = runner::try_run_one(&job).expect_err("1ms budget must time out");
+            let stored = std::fs::read_dir(&dir).unwrap().count();
+            (err, runner::stats().retries - before, stored)
+        },
+    );
     assert!(err.transient, "timeout must be typed transient: {err}");
     assert!(err.message.contains("wall-clock budget exhausted"), "{err}");
     assert_eq!(
@@ -140,10 +132,13 @@ fn fault_implicated_failure_is_shrunk_to_a_minimal_reproducer() {
 
     let dir = scratch("shrink");
     let job = counter_job(4, 4, doomed_faults());
-    let err = repro::with_repro_dir(Some(&dir), || {
-        runner::clear_cache();
-        runner::try_run_one(&job).expect_err("jittered job must livelock")
-    });
+    let err = scoped(
+        |env| env.repro_dir = Some(dir.clone()),
+        || {
+            runner::clear_cache();
+            runner::try_run_one(&job).expect_err("jittered job must livelock")
+        },
+    );
     assert!(!err.transient, "a livelock is deterministic, not transient");
     assert!(err.message.contains("livelock"), "{err}");
     assert!(err.message.contains("blocked on"), "{err}");
@@ -192,10 +187,13 @@ fn faultless_livelock_still_yields_a_replayable_reproducer() {
             ..FaultConfig::default()
         },
     );
-    let err = repro::with_repro_dir(Some(&dir), || {
-        runner::clear_cache();
-        runner::try_run_one(&job).expect_err("watchdog=1 must livelock")
-    });
+    let err = scoped(
+        |env| env.repro_dir = Some(dir.clone()),
+        || {
+            runner::clear_cache();
+            runner::try_run_one(&job).expect_err("watchdog=1 must livelock")
+        },
+    );
     assert!(err.message.contains("livelock"), "{err}");
     assert!(err.message.contains("[reproducer: "), "{err}");
 
@@ -214,12 +212,69 @@ fn faultless_livelock_still_yields_a_replayable_reproducer() {
 fn no_repro_dir_means_no_artifacts() {
     let _guard = exclusive();
     let job = counter_job(4, 4, doomed_faults());
-    let err = repro::with_repro_dir(None, || {
-        runner::clear_cache();
-        runner::try_run_one(&job).expect_err("jittered job must livelock")
-    });
+    let err = scoped(
+        |env| env.repro_dir = None,
+        || {
+            runner::clear_cache();
+            runner::try_run_one(&job).expect_err("jittered job must livelock")
+        },
+    );
     assert!(
         !err.message.contains("[reproducer"),
         "artifacts emitted without a directory: {err}"
     );
+}
+
+/// A reproducer records the protocol its failure ran under, not just
+/// the faults, and replays under both whatever environment the
+/// replaying process has: here a failure under `--proto=mesif,hna`
+/// with paranoid checking and directory corruption from the
+/// environment replays inside a default-environment scope.
+#[test]
+fn reproducer_replays_its_own_protocol() {
+    let _guard = exclusive();
+    let dir = scratch("proto");
+    let faults = FaultConfig {
+        paranoid: true,
+        ..FaultConfig::from_spec("corrupt=2000,period=64").unwrap()
+    };
+    let proto = ProtoSpec::from_spec("mesif,hna").unwrap();
+    // No faults of its own: the environment supplies them.
+    let job = Job::counter(
+        MachineConfig::with_nodes(4),
+        CounterKind::LockFree,
+        BarSpec::new(SyncPolicy::Inv, Primitive::Llsc),
+        4,
+        1.0,
+        8,
+    );
+    let err = scoped(
+        |env| {
+            env.faults = faults.clone();
+            env.proto = proto;
+            env.repro_dir = Some(dir.clone());
+        },
+        || runner::try_run_one(&job).expect_err("corruption must trip the checker"),
+    );
+    assert!(err.message.contains("[reproducer: "), "{err}");
+
+    let stem = format!("{:016x}", job.seed());
+    let rep = repro::load(&dir.join(format!("{stem}.repro"))).expect("reproducer emitted");
+    assert_eq!(rep.env, EnvKey { faults, proto });
+    let replay = RunEnv::scope(RunEnv::default(), || repro::replay(&rep)).expect("replay runs");
+    assert!(replay.reproduced, "{}", replay.message);
+    assert_eq!(replay.message, rep.message);
+
+    // The protocol is part of what reproduces: the same schedule under
+    // the default protocol is a different run.
+    let dash = repro::Reproducer {
+        env: EnvKey {
+            proto: ProtoSpec::default(),
+            ..rep.env.clone()
+        },
+        ..rep.clone()
+    };
+    let other = RunEnv::scope(RunEnv::default(), || repro::replay(&dash)).expect("replay runs");
+    assert_ne!(other, replay, "the protocol did not matter to this failure");
+    let _ = std::fs::remove_dir_all(&dir);
 }
