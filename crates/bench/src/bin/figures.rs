@@ -8,17 +8,21 @@
 //! ```
 //!
 //! Artifacts: `table1`, `fig2`–`fig6`, `scaling`, `scaling-xl`,
-//! `lockfree`, `latency`, `metrics`, `modern`, `all` (`all`
-//! regenerates the committed paper artifacts and deliberately excludes
-//! `scaling-xl`, `lockfree`, `latency`, `metrics` and `modern` —
-//! request those tables by name). `scaling-xl` extends the scaling
-//! sweep to the beyond-paper 256- and 1024-node machines. `modern` is the modern-architecture
-//! ablation — "Table 1 on a 2020s machine" (see RESULTS.md): chain
-//! tables, counter sweeps and a false-sharing table across the
-//! MESI(F)/NUMA/hierarchical/wide-line variant matrix plus home-node
-//! atomics. `--proto=SPEC` instead applies one variant spec (the
-//! `DSM_PROTO` grammar, e.g. `--proto=hier,clusters=4,penalty=32`) to
-//! every machine of the *requested* baseline artifacts.
+//! `lockfree`, `latency`, `metrics`, `modern`, `ablations`, `all`
+//! (`all` regenerates the committed paper artifacts and deliberately
+//! excludes `scaling-xl`, `lockfree`, `latency`, `metrics`, `modern`
+//! and `ablations` — request those tables by name). `scaling-xl`
+//! extends the scaling sweep to the beyond-paper 256- and 1024-node
+//! machines. `modern` is the modern-architecture ablation — "Table 1
+//! on a 2020s machine" (see RESULTS.md): chain tables, counter sweeps
+//! and a false-sharing table across the MESI(F)/NUMA/hierarchical/
+//! wide-line variant matrix plus home-node atomics. `ablations` checks
+//! the paper's modelling choices in five fixed-configuration tables
+//! (mesh model, LL/SC reservation schemes, drop_copy, latency
+//! crossover, trace-driven simulation), one CSV file each.
+//! `--proto=SPEC` instead applies one variant spec (the `DSM_PROTO`
+//! grammar, e.g. `--proto=hier,clusters=4,penalty=32`) to every
+//! machine of the *requested* baseline artifacts.
 //! `--paper` runs at the paper's 64-processor scale (slower); the
 //! default is a 16-processor scale with the same shape. `--csv DIR`
 //! additionally writes one CSV file per artifact into DIR; `--bars`
@@ -51,8 +55,8 @@
 //! writes `analyze_latency.csv` / `analyze_decomposition.csv`.
 
 use atomic_dsm::experiments::{
-    apps, counters, latency, lockfree, metrics, modern, paper_bars, runner, scaling, table1,
-    CounterKind,
+    ablations, apps, counters, latency, lockfree, metrics, modern, paper_bars, runner, scaling,
+    table1, CounterKind,
 };
 use atomic_dsm::machine::RunEnv;
 use atomic_dsm::sim::{FaultConfig, ProtoSpec};
@@ -62,7 +66,7 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 /// Every artifact name `figures` accepts.
-const ARTIFACTS: [&str; 13] = [
+const ARTIFACTS: [&str; 14] = [
     "table1",
     "fig2",
     "fig3",
@@ -75,6 +79,7 @@ const ARTIFACTS: [&str; 13] = [
     "latency",
     "metrics",
     "modern",
+    "ablations",
     "all",
 ];
 
@@ -258,10 +263,10 @@ fn main() {
             }
         }
     }
-    // `scaling-xl`, `lockfree`, `latency`, `metrics` and `modern` are
-    // deliberately NOT part of `all`: the committed paper artifacts
-    // (results_paper.txt, results_csv/) must stay byte-identical.
-    // Request those tables by name.
+    // `scaling-xl`, `lockfree`, `latency`, `metrics`, `modern` and
+    // `ablations` are deliberately NOT part of `all`: the committed
+    // paper artifacts (results_paper.txt, results_csv/) must stay
+    // byte-identical. Request those tables by name.
     env.faults.paranoid = paranoid;
     let workers = env.workers();
     let wanted: Vec<&str> = if wanted.is_empty() || wanted.contains(&"all") {
@@ -489,6 +494,14 @@ fn main() {
                     let report = modern::run(&s);
                     println!("{}", modern::render(&report));
                     write_csv(&csv_dir, "modern", &modern::csv_rows(&report));
+                }
+                "ablations" => {
+                    println!("## Ablations — the paper's modelling choices, checked\n");
+                    let tables = ablations::run();
+                    print!("{}", ablations::render(&tables));
+                    for t in &tables {
+                        write_csv(&csv_dir, t.name, &t.rows);
+                    }
                 }
                 other => unreachable!("artifact `{other}` passed validation"),
             }

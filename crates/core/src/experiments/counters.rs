@@ -66,7 +66,7 @@ pub fn measure_bar(
 }
 
 /// Like [`measure_bar`], but on an explicit machine configuration —
-/// used by the latency-sweep ablation to vary timing constants.
+/// used by the scaling sweep to vary the machine size.
 ///
 /// Goes through the experiment [`runner`], so repeated measurements of
 /// the same point are served from the result cache.

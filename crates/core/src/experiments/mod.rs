@@ -11,11 +11,13 @@
 //! | Scaling sweep (beyond the paper) | [`scaling::run_scaling`] |
 //! | Lock-free structure tables (beyond the paper) | [`lockfree::run_tables`] |
 //! | Modern-architecture ablation (beyond the paper) | [`modern::run`] |
+//! | Modelling-choice ablations (beyond the paper) | [`ablations::run`] |
 //!
 //! Absolute cycle counts depend on latency constants the paper does not
 //! publish; the quantities to compare are *shapes*: which bar wins,
 //! where the crossovers fall (see EXPERIMENTS.md).
 
+pub mod ablations;
 pub mod apps;
 pub mod counters;
 pub mod diskcache;

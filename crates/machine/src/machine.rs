@@ -5,11 +5,11 @@
 //!
 //! * `Core` — the simulation state (homes, caches, processors, network
 //!   ports, the event queue, per-node statistics and the
-//!   instrumentation: tracer, debug ring, fault injector, paranoid
-//!   flag) plus the event dispatcher.
+//!   instrumentation: tracer, fault injector, paranoid flag) plus the
+//!   event dispatcher.
 //! * [`Machine`] — the public wrapper owning the run loop and its
-//!   policy: cycle limit, stop rules, watchdog, wall-clock budget and
-//!   the fault-injection window.
+//!   policy: cycle limit, watchdog, wall-clock budget and the
+//!   fault-injection window.
 //!
 //! Every event carries an explicit 128-bit tie-break key (see the
 //! "Canonical event keys" section below): same-cycle events dispatch
@@ -323,9 +323,6 @@ impl Event {
     }
 }
 
-/// The debug message-trace ring buffer: `(capacity, entries)`.
-type TraceRing = (usize, std::collections::VecDeque<String>);
-
 struct ProcState {
     program: Box<dyn Program>,
     rng: SimRng,
@@ -440,8 +437,6 @@ struct Core {
     /// disabled case costs one pointer and one never-taken branch per
     /// instrumentation site.
     tracer: Option<Box<Tracer>>,
-    /// Optional message-trace ring buffer (debugging aid).
-    ring: Option<TraceRing>,
     /// Deterministic fault injector, present only when faults are on.
     injector: Option<FaultInjector>,
     /// Run the invariant checker after every protocol transition.
@@ -525,19 +520,6 @@ impl Core {
     /// destination's exit port is [`Core::wire`]'s business.
     fn route(&mut self, out: &mut Outbox) {
         for msg in out.msgs.drain(..) {
-            if let Some((cap, q)) = &mut self.ring {
-                if q.len() == *cap {
-                    q.pop_front();
-                }
-                q.push_back(format!(
-                    "{} {}->{} {} {:?}",
-                    self.now,
-                    msg.src,
-                    msg.dst,
-                    msg.line,
-                    std::mem::discriminant(&msg.kind)
-                ));
-            }
             self.nstats[msg.src.index()].msgs.count(msg.kind.class());
             let flits = msg.flits(&self.cfg.params);
             let extra = match &mut self.injector {
@@ -1372,7 +1354,6 @@ impl MachineBuilder {
             elided: 0,
             dispatched: [0; EVENT_KINDS.len()],
             tracer,
-            ring: None,
             injector,
             paranoid: faults.paranoid,
             cfg: self.cfg,
@@ -1442,13 +1423,12 @@ impl Machine {
 
     /// `true` when a run must dispatch every event literally:
     /// instrumentation (tracer, fault injector, paranoid checking,
-    /// watchdog, debug ring) is active.
+    /// watchdog) is active.
     fn instrumented(&self) -> bool {
         self.core.tracer.is_some()
             || self.core.injector.is_some()
             || self.core.paranoid
             || self.watchdog > 0
-            || self.core.ring.is_some()
     }
 
     /// The longest spin pause a run may park, or `None` when the run
@@ -1911,26 +1891,6 @@ impl Machine {
     #[doc(hidden)]
     pub fn corrupt_promote_shared(&mut self, node: NodeId, line: LineAddr) -> bool {
         self.core.caches[node.index()].corrupt_promote_shared(line)
-    }
-
-    /// Enables a message-trace ring buffer holding the last `capacity`
-    /// sends, each formatted as `time src->dst line kind`. Useful when
-    /// debugging protocol behaviour in tests. Turns spin-wait elision
-    /// off, so every send is recorded.
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.core.ring = Some((
-            capacity,
-            std::collections::VecDeque::with_capacity(capacity),
-        ));
-    }
-
-    /// The trace entries recorded so far (oldest first); empty unless
-    /// [`enable_trace`](Machine::enable_trace) was called.
-    pub fn trace(&self) -> impl Iterator<Item = &str> {
-        self.core
-            .ring
-            .iter()
-            .flat_map(|(_, q)| q.iter().map(String::as_str))
     }
 
     /// The structured event tracer, if tracing is enabled (via

@@ -9,8 +9,8 @@
 //!
 //! These adapters make that argument executable: record a program's
 //! action stream with [`TraceRecorder`], replay it with [`TraceReplay`],
-//! and watch a contended counter lose updates — see
-//! `ablation_tracedriven` in `dsm-bench` and the tests below.
+//! and watch a contended counter lose updates — see the trace-driven
+//! table of `figures ablations` and the tests below.
 
 use crate::program::{Action, ProcCtx, Program};
 use std::sync::{Arc, Mutex};

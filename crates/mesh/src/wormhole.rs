@@ -11,8 +11,8 @@
 //!
 //! The model is trace-driven: inject packets with [`FlitNetwork::inject`]
 //! and then advance the simulation with [`FlitNetwork::run_until_drained`],
-//! which reports delivery times. `dsm-bench`'s `ablation_mesh` bench
-//! replays machine-generated traffic traces through both this model and
+//! which reports delivery times. The mesh-model table of `figures
+//! ablations` replays synthetic traffic traces through both this model and
 //! [`LatencyNetwork`](crate::LatencyNetwork) to compare latency
 //! distributions.
 

@@ -8,6 +8,7 @@ use dsm_machine::{Action, Machine, MachineBuilder, ProcCtx};
 use dsm_mint::{assemble, Cpu, Reg};
 use dsm_protocol::{MemOp, PhiOp, SyncConfig, SyncPolicy};
 use dsm_sim::{Addr, Cycle, MachineConfig};
+use dsm_trace::{Categories, Category, RecordKind, TraceSpec};
 
 const COUNTER: Addr = Addr::new(0x40);
 const PROCS: u32 = 8;
@@ -117,9 +118,24 @@ fn trace_captures_protocol_messages() {
     b.add_program(Cpu::new(prog).with_reg(Reg(1), COUNTER.as_u64()));
     b.add_program(|_: &mut ProcCtx<'_>| Action::Done);
     let mut m = b.build();
-    m.enable_trace(16);
+    m.attach_tracer(&TraceSpec {
+        perfetto: false,
+        out: None,
+        ring: Some(16),
+        ring_out: Some(env!("CARGO_TARGET_TMPDIR").into()),
+        cats: Categories::none().with(Category::Msg),
+    });
     m.run(Cycle::new(1_000_000)).unwrap();
-    let entries: Vec<&str> = m.trace().collect();
-    assert_eq!(entries.len(), 2, "one request, one reply: {entries:?}");
-    assert!(entries[0].contains("->"));
+    let ring = m.tracer().and_then(|t| t.ring()).expect("ring attached");
+    let sends: Vec<&str> = ring
+        .records()
+        .iter()
+        .filter(|r| r.kind == RecordKind::MsgSend as u8)
+        .map(|r| ring.labels()[r.label as usize])
+        .collect();
+    assert_eq!(
+        sends,
+        ["AtomicMem", "AtomicReply"],
+        "one request, one reply"
+    );
 }

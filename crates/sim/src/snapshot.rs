@@ -1,8 +1,7 @@
 //! Versioned, checksummed on-disk containers for simulator artifacts.
 //!
-//! Persistent result-cache entries, fault reproducers and latency
-//! histograms all share one container format so every consumer gets
-//! the same guarantees:
+//! Persistent result-cache entries and fault reproducers share one
+//! container format so every consumer gets the same guarantees:
 //!
 //! * **Versioning** — an 8-byte magic plus a format version and a
 //!   payload-kind tag, so a reader can reject foreign files, files from
@@ -33,7 +32,7 @@ pub const MAGIC: [u8; 8] = *b"DSMSNAP\0";
 ///
 /// Version history: v1 = initial container; v2 = cache-entry payloads
 /// carry a per-job latency histogram and the standalone `Histogram`
-/// payload kind exists; v3 = job encodings carry the protocol-variant
+/// payload kind exists (retired since, its tag 4 reserved); v3 = job encodings carry the protocol-variant
 /// fields (proto, clusters, cluster penalty, home atomics); v4 = cache
 /// entries and reproducers carry the run environment's key (faults,
 /// paranoid checking, protocol spec) after the job encoding. Old entries
@@ -44,8 +43,9 @@ pub const FORMAT_VERSION: u32 = 4;
 /// What a container's payload encodes. Stored in the header so a
 /// reproducer can never be misread as a cache entry or vice versa.
 ///
-/// Tag 1 is reserved: it belonged to a retired machine-checkpoint kind,
-/// and a container carrying it reads as an unknown kind
+/// Tags 1 and 4 are reserved: they belonged to a retired
+/// machine-checkpoint kind and a retired standalone latency-histogram
+/// kind, and a container carrying one reads as an unknown kind
 /// ([`SnapshotError::BadKind`]). The other tags never change, so
 /// existing files stay readable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,8 +54,6 @@ pub enum PayloadKind {
     CacheEntry,
     /// A minimized fault-schedule reproducer.
     Reproducer,
-    /// A standalone log-bucketed latency histogram (`dsm-stats`).
-    Histogram,
 }
 
 impl PayloadKind {
@@ -63,7 +61,6 @@ impl PayloadKind {
         match self {
             PayloadKind::CacheEntry => 2,
             PayloadKind::Reproducer => 3,
-            PayloadKind::Histogram => 4,
         }
     }
 
@@ -72,7 +69,6 @@ impl PayloadKind {
         match self {
             PayloadKind::CacheEntry => "cache entry",
             PayloadKind::Reproducer => "reproducer",
-            PayloadKind::Histogram => "latency histogram",
         }
     }
 }
@@ -540,10 +536,10 @@ mod tests {
             from_bytes(&bytes, PayloadKind::CacheEntry),
             Err(SnapshotError::BadKind { found: 3, .. })
         ));
-        let hist = to_bytes(PayloadKind::Histogram, b"x");
+        let entry = to_bytes(PayloadKind::CacheEntry, b"x");
         assert!(matches!(
-            from_bytes(&hist, PayloadKind::Reproducer),
-            Err(SnapshotError::BadKind { found: 4, .. })
+            from_bytes(&entry, PayloadKind::Reproducer),
+            Err(SnapshotError::BadKind { found: 2, .. })
         ));
         let mut skewed = bytes.clone();
         skewed[8] = 0xFF; // version field
@@ -562,23 +558,22 @@ mod tests {
 
     #[test]
     fn reserved_kind_tag_is_a_typed_error() {
-        // A well-formed container (valid checksum) under the reserved
-        // tag 1 reads as an unknown kind for every live kind.
+        // A well-formed container (valid checksum) under a reserved tag
+        // reads as an unknown kind for every live kind.
         let payload = b"x";
-        let mut bytes = to_bytes(PayloadKind::CacheEntry, payload);
-        bytes[12..16].copy_from_slice(&1u32.to_le_bytes());
-        let sum_at = bytes.len() - 8;
-        bytes[sum_at..].copy_from_slice(&checksum(FORMAT_VERSION, 1, payload).to_le_bytes());
-        for kind in [
-            PayloadKind::CacheEntry,
-            PayloadKind::Reproducer,
-            PayloadKind::Histogram,
-        ] {
-            let err = from_bytes(&bytes, kind).unwrap_err();
-            assert!(
-                matches!(err, SnapshotError::BadKind { found: 1, expected } if expected == kind),
-                "{err}"
-            );
+        for tag in [1u32, 4] {
+            let mut bytes = to_bytes(PayloadKind::CacheEntry, payload);
+            bytes[12..16].copy_from_slice(&tag.to_le_bytes());
+            let sum_at = bytes.len() - 8;
+            bytes[sum_at..].copy_from_slice(&checksum(FORMAT_VERSION, tag, payload).to_le_bytes());
+            for kind in [PayloadKind::CacheEntry, PayloadKind::Reproducer] {
+                let err = from_bytes(&bytes, kind).unwrap_err();
+                assert!(
+                    matches!(err, SnapshotError::BadKind { found, expected }
+                        if found == tag && expected == kind),
+                    "{err}"
+                );
+            }
         }
     }
 

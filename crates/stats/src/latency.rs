@@ -16,9 +16,8 @@
 //! regardless of insertion order. That makes per-job histograms safe to
 //! persist in the result cache and merge across any worker count.
 
-use dsm_sim::snapshot::{self, ByteReader, ByteWriter, PayloadKind, SnapshotError};
+use dsm_sim::snapshot::{ByteReader, ByteWriter, SnapshotError};
 use dsm_sim::StableHasher;
-use std::path::Path;
 
 /// A mergeable log-bucketed histogram of cycle latencies.
 ///
@@ -273,33 +272,6 @@ impl LatencyHist {
         })
     }
 
-    /// Writes the histogram to `path` as a checksummed snapshot
-    /// container ([`PayloadKind::Histogram`]), atomically.
-    ///
-    /// # Errors
-    ///
-    /// Returns any underlying filesystem error.
-    pub fn save(&self, path: &Path) -> Result<(), SnapshotError> {
-        let mut w = ByteWriter::new();
-        self.encode_into(&mut w);
-        snapshot::write_atomic(path, PayloadKind::Histogram, &w.into_bytes())
-    }
-
-    /// Reads a histogram written by [`save`](Self::save), verifying the
-    /// container checksum, version and payload kind.
-    ///
-    /// # Errors
-    ///
-    /// Returns any container integrity violation or payload decode
-    /// error.
-    pub fn load(path: &Path) -> Result<Self, SnapshotError> {
-        let payload = snapshot::read(path, PayloadKind::Histogram)?;
-        let mut r = ByteReader::new(&payload);
-        let hist = Self::decode_from(&mut r)?;
-        r.finish()?;
-        Ok(hist)
-    }
-
     /// Renders the standard quantile row for this histogram:
     /// `count  p50  p90  p99  p99.9  max  mean`.
     pub fn quantile_cells(&self) -> Vec<String> {
@@ -463,20 +435,6 @@ mod tests {
             LatencyHist::decode_from(&mut r),
             Err(SnapshotError::Malformed(_))
         ));
-    }
-
-    #[test]
-    fn save_load_round_trips_through_container() {
-        let dir = std::env::temp_dir().join(format!("dsm-lat-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let path = dir.join("lat.hist");
-        let mut h = LatencyHist::new();
-        for v in [1u64, 2, 3, 1000, 100_000] {
-            h.record(v);
-        }
-        h.save(&path).unwrap();
-        assert_eq!(LatencyHist::load(&path).unwrap(), h);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     proptest! {

@@ -30,7 +30,7 @@ fn artifact(jobs: usize) -> (String, String) {
     })
 }
 
-/// The acceptance criterion verbatim: `figures modern` emits its
+/// The acceptance requirement verbatim: `figures modern` emits its
 /// tables deterministically — byte-identical across `--jobs 1` and
 /// `--jobs 8`.
 #[test]
