@@ -225,7 +225,7 @@ fn main() {
             "--bars" => bars_mode = true,
             "--paranoid" => paranoid = true,
             "--faults" => env.faults = FaultConfig::light(),
-            "--trace" => env.trace = Some(TraceSpec::default()),
+            "--trace" => env.trace = Some(TraceSpec::bare()),
             "--csv" => match rest.next() {
                 Some(dir) => csv_dir = Some(PathBuf::from(dir)),
                 None => usage_error("--csv takes a directory"),

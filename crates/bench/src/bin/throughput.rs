@@ -287,7 +287,7 @@ fn main() {
                     .expect("--repeat needs a positive integer");
                 assert!(repeat >= 1, "--repeat needs a positive integer");
             }
-            "--trace" => env.trace = Some(TraceSpec::default()),
+            "--trace" => env.trace = Some(TraceSpec::bare()),
             other if other.starts_with("--trace=") => {
                 match TraceSpec::from_spec(&other["--trace=".len()..]) {
                     Ok(spec) => env.trace = Some(spec),

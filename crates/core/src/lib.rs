@@ -28,7 +28,7 @@
 //!   application kernels;
 //! * [`stats`] — contention/write-run/message instrumentation;
 //! * [`trace`] — structured event tracing (Perfetto JSON + binary ring
-//!   buffer sinks, per-node metrics);
+//!   buffer sinks);
 //! * [`experiments`] — drivers for Table 1 and Figures 2–6.
 //!
 //! ## Quickstart

@@ -186,7 +186,7 @@ mod tests {
         faults.paranoid = true;
         assert_eq!(env.faults, faults);
         assert_eq!(env.proto, ProtoSpec::from_spec("mesif,hna").unwrap());
-        assert_eq!(env.trace, Some(TraceSpec::default()));
+        assert_eq!(env.trace, Some(TraceSpec::bare()));
         assert_eq!(env.wall_limit, Some(Duration::from_millis(250)));
         assert_eq!((env.retries, env.jobs, env.progress), (5, Some(3), true));
         assert_eq!(env.cache_dir, Some(PathBuf::from("cache")));

@@ -48,7 +48,7 @@ pub mod trace;
 pub use env::{EnvKey, RunEnv};
 pub use machine::{Machine, MachineBuilder, ProcDump, RunError, RunReport};
 pub use program::{Action, ProcCtx, Program};
-pub use stats::MachineStats;
+pub use stats::{MachineStats, NodeCounters};
 pub use trace::{new_trace, TraceRecorder, TraceReplay};
 
 #[cfg(test)]
@@ -352,7 +352,7 @@ mod tests {
             s.msgs.chains().mean() >= 2.0,
             "UNC ops are 2-message chains"
         );
-        assert!(s.sync_latency.mean() > 0.0);
+        assert!(s.op_latency_hist.mean() > 0.0);
         assert_eq!(s.contention.histogram().total(), 20);
     }
 

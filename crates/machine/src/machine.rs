@@ -520,7 +520,6 @@ impl Core {
     /// destination's exit port is [`Core::wire`]'s business.
     fn route(&mut self, out: &mut Outbox) {
         for msg in out.msgs.drain(..) {
-            self.nstats[msg.src.index()].msgs.count(msg.kind.class());
             let flits = msg.flits(&self.cfg.params);
             let extra = match &mut self.injector {
                 Some(inj) => inj.jitter(self.now.as_u64()),
@@ -535,6 +534,10 @@ impl Core {
                 flits,
                 extra,
             );
+            let ns = &mut self.nstats[msg.src.index()];
+            ns.msgs.count(msg.kind.class());
+            ns.flits_sent += flits;
+            ns.transit_cycles += (wire_at - self.now).as_u64();
             if let Some(tracer) = &mut self.tracer {
                 if tracer.wants(Category::Msg) {
                     // Wire arrival, not final delivery: the exit port is
@@ -800,7 +803,6 @@ impl Core {
             let ns = &mut self.nstats[i];
             ns.ops += done;
             ns.local_ops += done;
-            ns.op_latency.add_n(hit as f64, done);
             ns.op_latency_hist.record_n(hit, done);
             let last_done = self.elided_time(&park, &spin, (total - 1) / 3 * 3);
             self.last_retire = self.last_retire.max(last_done);
@@ -875,21 +877,30 @@ impl Core {
             });
         };
         self.last_retire = self.now;
-        let cycles = (self.now - issued).as_u64();
-        let latency = cycles as f64;
+        // A failed atomic attempt means the processor's loop will come
+        // around again: the raw material of the paper's retry-storm
+        // analysis.
+        let failure = match outcome.result {
+            OpResult::CasDone { success: false, .. } => Some("cas-fail"),
+            OpResult::ScDone { success: false } => Some("sc-fail"),
+            OpResult::Loaded {
+                reserved: false, ..
+            } if matches!(op, MemOp::LoadLinked { .. }) => Some("ll-unreserved"),
+            _ => None,
+        };
         {
             let ns = &mut self.nstats[i];
             ns.ops += 1;
-            ns.op_latency.add(latency);
-            ns.op_latency_hist.record(cycles);
+            ns.op_latency_hist.record((self.now - issued).as_u64());
             if outcome.local {
                 ns.local_ops += 1;
             }
             if is_sync {
                 ns.sync_ops += 1;
-                ns.sync_latency.add(latency);
-                ns.sync_latency_hist.record((latency / 10.0) as usize);
                 ns.msgs.record_chain(outcome.chain);
+            }
+            if failure.is_some() {
+                ns.retries += 1;
             }
         }
         if is_sync {
@@ -907,15 +918,7 @@ impl Core {
         }
         let span = std::mem::take(&mut self.procs[i].span);
         if let Some(tracer) = &mut self.tracer {
-            let outcome_label = match outcome.result {
-                OpResult::CasDone { success: false, .. } => "cas-fail",
-                OpResult::ScDone { success: false } => "sc-fail",
-                OpResult::Loaded {
-                    reserved: false, ..
-                } if matches!(op, MemOp::LoadLinked { .. }) => "ll-unreserved",
-                _ => "ok",
-            };
-            tracer.span_end(self.now, p, span, outcome_label);
+            tracer.span_end(self.now, p, span, failure.unwrap_or("ok"));
             if tracer.wants(Category::Op) {
                 tracer.op(
                     p,
@@ -926,24 +929,8 @@ impl Core {
                     outcome.chain,
                 );
             }
-            if tracer.wants(Category::Retry) {
-                // A failed atomic attempt means the processor's loop
-                // will come around again: the raw material of the
-                // paper's retry-storm analysis.
-                match outcome.result {
-                    OpResult::CasDone { success: false, .. } => {
-                        tracer.retry(self.now, p, "cas-fail");
-                    }
-                    OpResult::ScDone { success: false } => {
-                        tracer.retry(self.now, p, "sc-fail");
-                    }
-                    OpResult::Loaded {
-                        reserved: false, ..
-                    } if matches!(op, MemOp::LoadLinked { .. }) => {
-                        tracer.retry(self.now, p, "ll-unreserved");
-                    }
-                    _ => {}
-                }
+            if let Some(label) = failure.filter(|_| tracer.wants(Category::Retry)) {
+                tracer.retry(self.now, p, label);
             }
             if tracer.wants(Category::Resv) {
                 if let (MemOp::LoadLinked { .. }, OpResult::Loaded { reserved, .. }) =
@@ -992,6 +979,7 @@ impl Core {
         let want_queue = tracer.is_some_and(|t| t.wants(Category::Queue));
         let mut out = std::mem::replace(&mut self.outbox, Outbox::new());
         if msg.kind.home_bound() {
+            self.nstats[node].served_home += 1;
             let before = want_state.then(|| dir_label(self.homes[node].dir_state(line)));
             self.homes[node]
                 .handle(msg, &self.map, &mut out)
@@ -1021,6 +1009,7 @@ impl Core {
             if self.procs[node].park.is_some() {
                 self.unpark(node, self.now);
             }
+            self.nstats[node].served_cache += 1;
             let proc = ProcId::new(msg.dst.as_u32());
             let before = want_state.then(|| cache_label(self.caches[node].cache_state(line)));
             let completed =

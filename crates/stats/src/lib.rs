@@ -23,7 +23,6 @@ pub mod contention;
 pub mod histogram;
 pub mod latency;
 pub mod messages;
-pub mod metrics;
 pub mod table;
 pub mod writerun;
 
@@ -31,7 +30,6 @@ pub use contention::ContentionTracker;
 pub use histogram::Histogram;
 pub use latency::LatencyHist;
 pub use messages::{ChainStats, MsgClass};
-pub use metrics::NodeMetrics;
 pub use table::{render_bar_chart, render_csv, render_table};
 pub use writerun::WriteRunTracker;
 
@@ -71,29 +69,6 @@ impl OnlineMean {
         self.sum += v;
         self.min = Some(self.min.map_or(v, |m| m.min(v)));
         self.max = Some(self.max.map_or(v, |m| m.max(v)));
-    }
-
-    /// Adds `n` samples of `v`, bit-identical to calling [`add`](Self::add)
-    /// `n` times. When `v` and the running sum are integers and the
-    /// result stays below 2^53, every partial sum is exact, so one
-    /// multiply-add gives the same bits; otherwise the samples are added
-    /// one by one.
-    pub fn add_n(&mut self, v: f64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        const EXACT: f64 = (1u64 << 53) as f64;
-        let total = v.abs() * n as f64;
-        if v.fract() == 0.0 && self.sum.fract() == 0.0 && self.sum.abs() + total < EXACT {
-            self.count += n;
-            self.sum += v * n as f64;
-            self.min = Some(self.min.map_or(v, |m| m.min(v)));
-            self.max = Some(self.max.map_or(v, |m| m.max(v)));
-        } else {
-            for _ in 0..n {
-                self.add(v);
-            }
-        }
     }
 
     /// The mean of all samples, or 0.0 if none.
@@ -165,38 +140,6 @@ mod tests {
         assert_eq!(m.count(), 0);
         assert_eq!(m.min(), None);
         assert_eq!(m.max(), None);
-    }
-
-    #[test]
-    fn add_n_matches_repeated_add_bit_for_bit() {
-        for (start, v, n) in [
-            (&[][..], 1.0, 5u64),
-            (&[3.0, 7.0][..], 1.0, 1_000_000),
-            (&[0.1][..], 1.0, 17),
-            (&[2.0][..], 0.3, 9),
-            (&[9.007_199_254_740_99e15][..], 1.0, 40),
-        ] {
-            let mut one = OnlineMean::new();
-            let mut bulk = OnlineMean::new();
-            for &s in start {
-                one.add(s);
-                bulk.add(s);
-            }
-            for _ in 0..n {
-                one.add(v);
-            }
-            bulk.add_n(v, n);
-            assert_eq!(one.count(), bulk.count());
-            assert_eq!(
-                one.sum().to_bits(),
-                bulk.sum().to_bits(),
-                "{start:?} + {n} x {v}"
-            );
-            assert_eq!((one.min(), one.max()), (bulk.min(), bulk.max()));
-        }
-        let mut m = OnlineMean::new();
-        m.add_n(4.0, 0);
-        assert_eq!(m, OnlineMean::new());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Network-message accounting: counts per class and serialized-chain
 //! lengths (Table 1 of the paper).
 
-use crate::{Histogram, OnlineMean};
+use crate::OnlineMean;
 
 /// Broad classes of coherence traffic, for reporting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -90,7 +90,6 @@ impl MsgClass {
 pub struct ChainStats {
     counts: [u64; 8],
     chains: OnlineMean,
-    chain_histogram: Histogram,
 }
 
 impl ChainStats {
@@ -117,17 +116,11 @@ impl ChainStats {
     /// Records the serialized-chain length of one completed transaction.
     pub fn record_chain(&mut self, serialized_messages: u32) {
         self.chains.add(serialized_messages as f64);
-        self.chain_histogram.record(serialized_messages as usize);
     }
 
     /// Statistics over recorded chain lengths.
     pub fn chains(&self) -> &OnlineMean {
         &self.chains
-    }
-
-    /// Distribution of recorded chain lengths.
-    pub fn chain_histogram(&self) -> &Histogram {
-        &self.chain_histogram
     }
 
     /// Folds the per-class counts and chain statistics into a state
@@ -137,7 +130,6 @@ impl ChainStats {
             h.write_u64(c);
         }
         self.chains.digest(h);
-        self.chain_histogram.digest(h);
     }
 
     /// Merges another instance into this one.
@@ -146,7 +138,6 @@ impl ChainStats {
             self.counts[i] += other.counts[i];
         }
         self.chains.merge(&other.chains);
-        self.chain_histogram.merge(&other.chain_histogram);
     }
 }
 
@@ -172,8 +163,8 @@ mod tests {
         s.record_chain(2);
         s.record_chain(4);
         assert_eq!(s.chains().mean(), 3.0);
-        assert_eq!(s.chain_histogram().count(2), 1);
-        assert_eq!(s.chain_histogram().count(4), 1);
+        assert_eq!(s.chains().count(), 2);
+        assert_eq!((s.chains().min(), s.chains().max()), (Some(2.0), Some(4.0)));
     }
 
     #[test]

@@ -19,10 +19,11 @@
 //!   retains the most recent N events, cheap enough to leave on for
 //!   long runs and dump post-mortem.
 //!
-//! The [`Tracer`] front end owns the sinks, per-node
-//! [`NodeMetrics`](dsm_stats::NodeMetrics), and the flow-id
-//! bookkeeping. It is configured by
-//! a [`TraceSpec`] parsed from `--trace[=SPEC]` or the `DSM_TRACE`
+//! The [`Tracer`] front end owns the sinks and the flow-id bookkeeping.
+//! It is an event stream only: per-node counters (messages, flits,
+//! services, retries) are the machine's always-on statistics, kept
+//! whether or not a tracer is attached. The tracer is configured by a
+//! [`TraceSpec`] parsed from `--trace[=SPEC]` or the `DSM_TRACE`
 //! environment variable — see [`TraceSpec::from_spec`] for the grammar.
 //!
 //! # Determinism

@@ -19,8 +19,13 @@ use std::path::PathBuf;
 ///   (`msg`, `op`, `state`, `resv`, `queue`, `retry`, `span`).
 ///
 /// The empty string and the bare words `1`, `on`, `default` all mean
-/// "Perfetto sink, every category, default directory" — so
-/// `DSM_TRACE=1` and `--trace` just work.
+/// [`TraceSpec::bare`]: "Perfetto sink, every category, default
+/// directory" — so `DSM_TRACE=1` and `--trace` just work.
+///
+/// [`TraceSpec::default`] attaches no sink and records every category;
+/// set the sinks you want on top of it, e.g.
+/// `TraceSpec { ring: Some(16), ..TraceSpec::default() }` writes only a
+/// ring file.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceSpec {
     /// Attach the Perfetto `trace_event` JSON sink.
@@ -116,11 +121,10 @@ impl From<UnknownCategory> for SpecError {
 }
 
 impl Default for TraceSpec {
-    /// The spec produced by a bare `--trace`: Perfetto sink, all
-    /// categories, default output directory, no ring.
+    /// No sink, every category, no output paths.
     fn default() -> Self {
         TraceSpec {
-            perfetto: true,
+            perfetto: false,
             out: None,
             ring: None,
             ring_out: None,
@@ -130,6 +134,15 @@ impl Default for TraceSpec {
 }
 
 impl TraceSpec {
+    /// The spec produced by a bare `--trace`: Perfetto sink, all
+    /// categories, default output directory, no ring.
+    pub fn bare() -> Self {
+        TraceSpec {
+            perfetto: true,
+            ..TraceSpec::default()
+        }
+    }
+
     /// Parses a trace specification.
     ///
     /// # Errors
@@ -143,8 +156,8 @@ impl TraceSpec {
     /// use dsm_trace::TraceSpec;
     ///
     /// // The common cases: `--trace` / `DSM_TRACE=1`.
-    /// assert_eq!(TraceSpec::from_spec("").unwrap(), TraceSpec::default());
-    /// assert_eq!(TraceSpec::from_spec("on").unwrap(), TraceSpec::default());
+    /// assert_eq!(TraceSpec::from_spec("").unwrap(), TraceSpec::bare());
+    /// assert_eq!(TraceSpec::from_spec("on").unwrap(), TraceSpec::bare());
     ///
     /// // Explicit output file, restricted categories.
     /// let spec = TraceSpec::from_spec("perfetto:out/run.json,cat:msg+op").unwrap();
@@ -179,15 +192,9 @@ impl TraceSpec {
     pub fn from_spec(spec: &str) -> Result<TraceSpec, SpecError> {
         let spec = spec.trim();
         if matches!(spec, "" | "1" | "on" | "default") {
-            return Ok(TraceSpec::default());
+            return Ok(TraceSpec::bare());
         }
-        let mut out = TraceSpec {
-            perfetto: false,
-            out: None,
-            ring: None,
-            ring_out: None,
-            cats: Categories::all(),
-        };
+        let mut out = TraceSpec::default();
         for clause in spec.split(',') {
             let clause = clause.trim();
             let (word, rest) = match clause.split_once(':') {
@@ -254,8 +261,14 @@ mod tests {
     #[test]
     fn bare_forms_mean_default() {
         for s in ["", "1", "on", "default", "  on  "] {
-            assert_eq!(TraceSpec::from_spec(s).unwrap(), TraceSpec::default());
+            assert_eq!(TraceSpec::from_spec(s).unwrap(), TraceSpec::bare());
         }
+        assert!(TraceSpec::bare().perfetto);
+        let none = TraceSpec::default();
+        assert!(
+            !none.perfetto && none.ring.is_none(),
+            "default attaches no sink"
+        );
     }
 
     #[test]

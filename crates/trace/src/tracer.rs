@@ -1,10 +1,12 @@
 //! The [`Tracer`]: the machine-facing front end of the tracing layer.
 //!
-//! A `Tracer` owns the attached sinks, the per-node metrics, and the
-//! flow-id bookkeeping that links a message's send to its delivery (and
-//! thereby request to reply in the viewer). The machine holds an
-//! `Option<Box<Tracer>>`: `None` costs one never-taken branch per
-//! instrumentation site, which is the whole "zero cost when off" story.
+//! A `Tracer` owns the attached sinks and the flow-id bookkeeping that
+//! links a message's send to its delivery (and thereby request to reply
+//! in the viewer). It is an event stream only and counts nothing: the
+//! per-node counters live in the machine's always-on statistics. The
+//! machine holds an `Option<Box<Tracer>>`: `None` costs one never-taken
+//! branch per instrumentation site, which is the whole "zero cost when
+//! off" story.
 
 use crate::event::{Categories, Category, StateLabel, TraceEvent};
 use crate::perfetto::PerfettoSink;
@@ -12,7 +14,6 @@ use crate::ring::RingSink;
 use crate::sink::TraceSink;
 use crate::spec::TraceSpec;
 use dsm_sim::{Cycle, LineAddr, NodeId, ProcId, StableHashMap, StableHasher};
-use dsm_stats::metrics::{render_node_metrics, NodeMetrics};
 use std::collections::VecDeque;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -23,8 +24,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
 
 /// Records structured events into the sinks selected by a
-/// [`TraceSpec`], maintains per-node [`NodeMetrics`], and writes the
-/// output files when the run finishes.
+/// [`TraceSpec`] and writes the output files when the run finishes.
 ///
 /// Determinism contract: everything a `Tracer` writes is a pure
 /// function of the event sequence it was fed. Flow ids come from a
@@ -52,7 +52,6 @@ pub struct Tracer {
     /// In-flight flow → owning span, plus the send/delivery times
     /// needed to emit the `net` and `queue` phases at service time.
     flow_spans: StableHashMap<u64, FlowCtx>,
-    metrics: Vec<NodeMetrics>,
 }
 
 /// What [`Tracer::msg_service`] needs to reconstruct a flow's network
@@ -102,7 +101,6 @@ impl Tracer {
             span_ctx: 0,
             next_span: 1,
             flow_spans: StableHashMap::default(),
-            metrics: vec![NodeMetrics::new(); nodes as usize],
         }
     }
 
@@ -129,62 +127,6 @@ impl Tracer {
         }
         for s in &mut self.extra {
             s.record(ev);
-        }
-        self.update_metrics(ev);
-    }
-
-    fn update_metrics(&mut self, ev: &TraceEvent) {
-        fn m(metrics: &mut Vec<NodeMetrics>, idx: usize) -> &mut NodeMetrics {
-            if idx >= metrics.len() {
-                metrics.resize(idx + 1, NodeMetrics::new());
-            }
-            &mut metrics[idx]
-        }
-        match *ev {
-            TraceEvent::MsgSend {
-                at,
-                src,
-                flits,
-                deliver_at,
-                ..
-            } => {
-                let node = m(&mut self.metrics, src.index());
-                node.msgs_sent += 1;
-                node.flits_sent += flits;
-                node.transit.record((deliver_at - at).as_u64() as usize);
-            }
-            TraceEvent::MsgService { dst, home, .. } => {
-                let node = m(&mut self.metrics, dst.index());
-                if home {
-                    node.served_home += 1;
-                } else {
-                    node.served_cache += 1;
-                }
-            }
-            TraceEvent::Op { proc, .. } => {
-                m(&mut self.metrics, proc.node().index()).ops_retired += 1;
-            }
-            TraceEvent::Retry { proc, .. } => {
-                m(&mut self.metrics, proc.node().index()).retries += 1;
-            }
-            TraceEvent::Reservation { .. } => {}
-            TraceEvent::DirTransition { node, .. } => {
-                m(&mut self.metrics, node.index()).dir_transitions += 1;
-            }
-            TraceEvent::CacheTransition { node, .. } => {
-                m(&mut self.metrics, node.index()).cache_transitions += 1;
-            }
-            TraceEvent::QueueDepth { node, depth, .. } => {
-                m(&mut self.metrics, node.index())
-                    .queue_depth
-                    .record(depth as usize);
-            }
-            // Spans are derived views of the same activity the arms
-            // above already count; attributing them again would
-            // double-book the metrics.
-            TraceEvent::SpanBegin { .. }
-            | TraceEvent::SpanPhase { .. }
-            | TraceEvent::SpanEnd { .. } => {}
         }
     }
 
@@ -426,16 +368,6 @@ impl Tracer {
         self.ring.as_ref()
     }
 
-    /// Per-node metrics accumulated so far.
-    pub fn metrics(&self) -> &[NodeMetrics] {
-        &self.metrics
-    }
-
-    /// Renders the per-node metrics table.
-    pub fn render_metrics(&self) -> String {
-        render_node_metrics(&self.metrics)
-    }
-
     /// Writes every attached file-backed sink and returns the paths
     /// written.
     ///
@@ -553,39 +485,6 @@ mod tests {
         let s_pos = json.find("\"ph\":\"f\",\"bp\":\"e\",\"id\":0").unwrap();
         let s1_pos = json.find("\"ph\":\"f\",\"bp\":\"e\",\"id\":1").unwrap();
         assert!(s_pos < s1_pos);
-    }
-
-    #[test]
-    fn metrics_accumulate_per_node() {
-        let mut t = Tracer::new(&spec("perfetto"), 4);
-        t.msg_send(
-            Cycle::new(0),
-            NodeId::new(1),
-            NodeId::new(2),
-            LineAddr::new(0),
-            "GetX",
-            3,
-            1,
-            Cycle::new(8),
-        );
-        t.op(
-            ProcId::new(1),
-            Cycle::new(0),
-            Cycle::new(20),
-            "Cas",
-            false,
-            2,
-        );
-        t.retry(Cycle::new(20), ProcId::new(1), "cas-fail");
-        t.queue_depth(Cycle::new(8), NodeId::new(2), 3);
-        let m = t.metrics();
-        assert_eq!(m[1].msgs_sent, 1);
-        assert_eq!(m[1].flits_sent, 3);
-        assert_eq!(m[1].ops_retired, 1);
-        assert_eq!(m[1].retries, 1);
-        assert_eq!(m[2].queue_depth.max_value(), Some(3));
-        assert_eq!(m[0].msgs_sent, 0);
-        assert!(t.render_metrics().contains("total"));
     }
 
     #[test]

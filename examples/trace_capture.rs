@@ -1,6 +1,7 @@
 //! Trace capture: run a contended `compare_and_swap` counter with the
 //! observability layer on, write a Perfetto trace plus a binary ring
-//! buffer, and print the per-node metrics the tracer accumulated.
+//! buffer, and print the machine's per-node counters (kept with or
+//! without a tracer).
 //!
 //! ```sh
 //! cargo run --release --example trace_capture
@@ -70,9 +71,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     machine.run(Cycle::new(50_000_000))?;
     assert_eq!(machine.read_word(counter), PROCS as u64 * ITERS);
 
-    let tracer = machine.tracer().expect("tracing was enabled");
-    println!("per-node metrics\n");
-    print!("{}", tracer.render_metrics());
+    println!("node  msgs  flits  srv-home  srv-cache  transit-avg  ops  retries");
+    for (i, n) in machine.stats().nodes.iter().enumerate() {
+        println!(
+            "{i:<4}  {:>4}  {:>5}  {:>8}  {:>9}  {:>11.1}  {:>3}  {:>7}",
+            n.msgs_sent,
+            n.flits_sent,
+            n.served_home,
+            n.served_cache,
+            n.transit_avg(),
+            n.ops,
+            n.retries
+        );
+    }
 
     println!("\ntrace files (content-addressed, deterministic):");
     for path in machine.trace_files() {

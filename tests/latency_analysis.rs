@@ -188,6 +188,7 @@ fn tracing_does_not_perturb_simulated_results() {
 fn perfetto_gains_span_slices_that_validate() {
     let dir = scratch("perfetto-spans");
     let spec = TraceSpec {
+        perfetto: true,
         out: Some(dir.clone()),
         ..TraceSpec::default()
     };

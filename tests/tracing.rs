@@ -57,7 +57,7 @@ fn quickstart_machine(spec: Option<TraceSpec>) -> Machine {
 }
 
 /// A contended CAS counter, to exercise retry events.
-fn contended_cas_machine(spec: TraceSpec) -> Machine {
+fn contended_cas_machine(spec: Option<TraceSpec>) -> Machine {
     let bar = BarSpec::new(SyncPolicy::Inv, Primitive::Cas);
     let scfg = SyntheticConfig {
         kind: CounterKind::LockFree,
@@ -68,7 +68,9 @@ fn contended_cas_machine(spec: TraceSpec) -> Machine {
         rounds: 32,
     };
     let (mut machine, _layout) = build_synthetic(MachineConfig::with_nodes(8), &scfg);
-    machine.attach_tracer(&spec);
+    if let Some(spec) = &spec {
+        machine.attach_tracer(spec);
+    }
     machine
 }
 
@@ -84,6 +86,7 @@ fn disabled_by_default() {
 fn perfetto_trace_validates_and_flows_balance() {
     let dir = scratch("validate");
     let spec = TraceSpec {
+        perfetto: true,
         out: Some(dir.clone()),
         ring: Some(4096),
         ..TraceSpec::default()
@@ -121,6 +124,7 @@ fn perfetto_trace_validates_and_flows_balance() {
 #[test]
 fn identical_runs_are_byte_identical() {
     let spec = || TraceSpec {
+        perfetto: true,
         out: Some(scratch("determinism")),
         ..TraceSpec::default()
     };
@@ -198,10 +202,11 @@ fn category_filter_drops_unwanted_events() {
 fn contended_cas_records_retries() {
     let dir = scratch("retries");
     let spec = TraceSpec {
+        perfetto: true,
         out: Some(dir.clone()),
         ..TraceSpec::default()
     };
-    let mut m = contended_cas_machine(spec);
+    let mut m = contended_cas_machine(Some(spec));
     m.run(Cycle::new(100_000_000)).expect("run");
     let json = m.tracer().unwrap().perfetto_json().unwrap();
     perfetto::validate(&json).expect("trace validates");
@@ -209,8 +214,35 @@ fn contended_cas_records_retries() {
         json.contains("\"cas-fail\""),
         "contended CAS counter yields cas-fail retry instants"
     );
-    let metrics = m.tracer().unwrap().metrics();
-    let retries: u64 = metrics.iter().map(|n| n.retries).sum();
+    std::fs::remove_dir_all(&dir).ok();
+
+    // The per-node retry counters are the machine's own: they need no
+    // tracer.
+    let mut m = contended_cas_machine(None);
+    m.run(Cycle::new(100_000_000)).expect("run");
+    assert!(m.tracer().is_none());
+    let retries: u64 = m.stats().nodes.iter().map(|n| n.retries).sum();
     assert!(retries > 0, "per-node retry counters accumulate");
+}
+
+#[test]
+fn ring_only_spec_writes_no_perfetto_file() {
+    let dir = scratch("ring-only");
+    let spec = TraceSpec {
+        ring: Some(16),
+        ring_out: Some(dir.clone()),
+        ..TraceSpec::default()
+    };
+    let mut m = quickstart_machine(Some(spec));
+    m.run(LIMIT).expect("run");
+    assert!(m.tracer().unwrap().perfetto_json().is_none());
+    let files = m.trace_files().to_vec();
+    assert_eq!(files.len(), 1, "exactly the ring file: {files:?}");
+    assert!(files[0].extension().is_some_and(|e| e == "ring"));
+    let written: Vec<_> = std::fs::read_dir(&dir)
+        .expect("read scratch dir")
+        .map(|e| e.expect("dir entry").path())
+        .collect();
+    assert_eq!(written, files, "nothing but the ring file was written");
     std::fs::remove_dir_all(&dir).ok();
 }
