@@ -7,10 +7,13 @@
 //! simulated job's result is written to `<dir>/<key-fingerprint>.job`
 //! as a versioned, checksummed [`dsm_sim::snapshot`] container, and
 //! later processes serve the same job from disk instead of
-//! re-simulating. The key is the canonical encoding of the job followed
-//! by that of the environment's [`EnvKey`] (faults, paranoid checking,
-//! protocol spec), so runs under different environments never share
-//! an entry and two spellings of one setting always do.
+//! re-simulating. The key is the [`MODEL_FINGERPRINT`], then the
+//! canonical encoding of the job, then that of the environment's
+//! [`EnvKey`] (faults, paranoid checking, protocol spec). So runs under
+//! different environments never share an entry, two spellings of one
+//! setting always do, and a build whose model code differs misses every
+//! entry an older build wrote (under a new file name, so the old entry
+//! is not quarantined either).
 //!
 //! Robustness properties, in the order they matter:
 //!
@@ -52,6 +55,12 @@ use dsm_workloads::LfStructure;
 use std::path::Path;
 use std::sync::atomic::Ordering;
 
+/// A hash of the simulator's model sources: the `sim`, `mesh`,
+/// `protocol`, `machine`, `sync` and `workloads` crates and
+/// `core/src/experiments`, computed by `crates/core/build.rs`. Any edit
+/// to those sources changes it.
+pub const MODEL_FINGERPRINT: u64 = include!(concat!(env!("OUT_DIR"), "/model_fingerprint.rs"));
+
 /// The entry file name for a canonically encoded key: its 64-bit
 /// content fingerprint.
 fn file_name(key_bytes: &[u8]) -> String {
@@ -61,9 +70,11 @@ fn file_name(key_bytes: &[u8]) -> String {
     format!("{:016x}.job", h.finish())
 }
 
-/// The canonical entry key: the job's encoding, then the environment's.
-fn encode_key(env: &EnvKey, job: &Job) -> Vec<u8> {
+/// The canonical entry key: the model fingerprint, then the job's
+/// encoding, then the environment's.
+fn encode_key(model: u64, env: &EnvKey, job: &Job) -> Vec<u8> {
     let mut w = ByteWriter::new();
+    w.put_u64(model);
     w.put_bytes(&encode_job(job));
     put_env(&mut w, env);
     w.into_bytes()
@@ -80,7 +91,7 @@ pub(crate) fn load(dir: &Path, env: &EnvKey, job: &Job) -> Option<JobResult> {
     if matches!(job, Job::Table1 { .. }) {
         return None;
     }
-    let key_bytes = encode_key(env, job);
+    let key_bytes = encode_key(MODEL_FINGERPRINT, env, job);
     let path = dir.join(file_name(&key_bytes));
     let bytes = match snapshot::read(&path, PayloadKind::CacheEntry) {
         Ok(b) => b,
@@ -112,7 +123,7 @@ pub(crate) fn store(dir: &Path, env: &EnvKey, job: &Job, result: &JobResult) {
             return;
         }
     }
-    let key_bytes = encode_key(env, job);
+    let key_bytes = encode_key(MODEL_FINGERPRINT, env, job);
     let path = dir.join(file_name(&key_bytes));
     let payload = encode_entry(&key_bytes, result);
     match snapshot::write_atomic(&path, PayloadKind::CacheEntry, &payload) {
@@ -666,7 +677,7 @@ mod tests {
 
     /// The key of a run under the default environment.
     fn key(job: &Job) -> Vec<u8> {
-        encode_key(&EnvKey::default(), job)
+        encode_key(MODEL_FINGERPRINT, &EnvKey::default(), job)
     }
 
     fn counter_job(faulty: bool) -> Job {
@@ -745,15 +756,19 @@ mod tests {
             assert_eq!(take_env(&mut r).unwrap(), env);
             r.finish().unwrap();
         }
-        assert_ne!(key(&job), encode_key(&faulty, &job));
+        assert_ne!(key(&job), encode_key(MODEL_FINGERPRINT, &faulty, &job));
         // Spellings of one setting share a key.
         let light = |spec: &str| EnvKey {
             faults: FaultConfig::from_spec(spec).unwrap(),
             ..EnvKey::default()
         };
         assert_eq!(
-            encode_key(&light("light"), &job),
-            encode_key(&light(&FaultConfig::light().to_spec()), &job)
+            encode_key(MODEL_FINGERPRINT, &light("light"), &job),
+            encode_key(
+                MODEL_FINGERPRINT,
+                &light(&FaultConfig::light().to_spec()),
+                &job
+            )
         );
     }
 
@@ -780,9 +795,12 @@ mod tests {
             },
             ..EnvKey::default()
         };
-        assert!(decode_entry(&bytes, &encode_key(&paranoid, &stored_for))
-            .unwrap()
-            .is_none());
+        assert!(decode_entry(
+            &bytes,
+            &encode_key(MODEL_FINGERPRINT, &paranoid, &stored_for)
+        )
+        .unwrap()
+        .is_none());
         // Asked for by the right job: the stored failure comes back.
         let back = decode_entry(&bytes, &key(&stored_for)).unwrap().unwrap();
         assert_eq!(back.unwrap_err().message, "deterministic failure");
@@ -844,6 +862,34 @@ mod tests {
         let p = back.unwrap().into_counter();
         assert_eq!(p.cycles, 664);
         assert_eq!(p.avg_cycles.to_bits(), 41.5f64.to_bits());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn entry_of_another_model_is_a_miss_not_corruption() {
+        let dir = std::env::temp_dir().join(format!("dsm-diskcache-m-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let job = counter_job(false);
+        // An entry as a build with other model sources stores it.
+        let old_key = encode_key(MODEL_FINGERPRINT ^ 1, &EnvKey::default(), &job);
+        let old_path = dir.join(file_name(&old_key));
+        assert_ne!(old_path, dir.join(file_name(&key(&job))));
+        let out = Err(JobError {
+            job: "x".into(),
+            message: "the old model's result".into(),
+            transient: false,
+        });
+        let payload = encode_entry(&old_key, &out);
+        snapshot::write_atomic(&old_path, PayloadKind::CacheEntry, &payload).unwrap();
+        assert!(
+            load(&dir, &EnvKey::default(), &job).is_none(),
+            "an entry written by another model must miss"
+        );
+        assert!(old_path.exists(), "the other model's entry stays in place");
+        assert!(
+            !dir.join("quarantined").exists(),
+            "a model mismatch is not corruption"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

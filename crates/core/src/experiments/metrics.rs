@@ -57,7 +57,7 @@ pub fn run(scale: &Scale) -> Vec<MetricsRun> {
                 .machine
                 .run(prepared.limit)
                 .unwrap_or_else(|e| panic!("{}: {e}", prepared.label));
-            let nodes = prepared.machine.stats().nodes;
+            let nodes = prepared.machine.stats().nodes.clone();
             // Run the job's own finish stage for its coherence and
             // output validation; the assembled output is discarded.
             (prepared.finish)(&mut prepared.machine, report)

@@ -356,6 +356,121 @@ mod tests {
         assert_eq!(s.contention.histogram().total(), 20);
     }
 
+    /// The contention and write-run trackers are fed as events dispatch.
+    /// The result must equal feeding them in `(cycle, processor)` order,
+    /// reconstructed here from what the programs observe, also around a
+    /// barrier release whose last arrival is a middle node.
+    #[test]
+    fn sync_trackers_see_accesses_in_cycle_then_processor_order() {
+        use dsm_stats::{ContentionTracker, WriteRunTracker};
+        use std::sync::{Arc, Mutex};
+        // (cycle, proc, per-proc seq, begin?, write)
+        type Rec = (u64, u32, u64, bool, bool);
+        let nodes = 4u32;
+        let rounds = 3u32;
+        let mcfg = MachineConfig::with_nodes(nodes);
+        let (issue, hit) = (mcfg.params.issue, mcfg.params.cache_hit);
+        let log: Arc<Mutex<Vec<Rec>>> = Arc::new(Mutex::new(Vec::new()));
+        let arrivals: Arc<Mutex<Vec<(u32, u32, u64)>>> = Arc::new(Mutex::new(Vec::new()));
+        let mut b = MachineBuilder::new(mcfg);
+        b.register_sync(COUNTER, config(SyncPolicy::Inv));
+        for p in 0..nodes {
+            let (log, arrivals) = (Arc::clone(&log), Arc::clone(&arrivals));
+            let (mut stage, mut round, mut seq) = (0, 0, 0u64);
+            let mut pending: Option<MemOp> = None;
+            b.add_program(move |ctx: &mut ProcCtx<'_>| {
+                let mut log = log.lock().unwrap();
+                if let Some(op) = pending.take() {
+                    // The step after a completion runs `issue` cycles
+                    // after the machine retired the operation.
+                    let write = op.is_write() && ctx.result().succeeded();
+                    log.push((ctx.now.as_u64() - issue, p, seq, false, write));
+                    seq += 1;
+                }
+                stage += 1;
+                // Node 2 arrives last, so the releases of nodes 0 and 1
+                // dispatch after a higher node's event in the release
+                // cycle.
+                let delay = if p == 2 { 2_000 } else { 5 };
+                let op = match stage {
+                    1 => return Action::Compute(delay),
+                    2 => {
+                        arrivals.lock().unwrap().push((round, p, ctx.now.as_u64()));
+                        return Action::Barrier(round);
+                    }
+                    // Nodes 0 and 1 begin their load in the cycle in
+                    // which the loads of nodes 2 and 3 hit and end.
+                    3 if p < 2 => return Action::Compute(hit),
+                    3 | 4 => {
+                        stage = 4;
+                        MemOp::Load { addr: COUNTER }
+                    }
+                    5 => {
+                        let seen = ctx.result().value().unwrap();
+                        MemOp::Cas {
+                            addr: COUNTER,
+                            expected: seen,
+                            new: seen + 1,
+                        }
+                    }
+                    // Re-read, so the next round's loads hit.
+                    6 => MemOp::Load { addr: COUNTER },
+                    _ => {
+                        round += 1;
+                        stage = 1;
+                        return if round == rounds {
+                            Action::Done
+                        } else {
+                            Action::Compute(delay)
+                        };
+                    }
+                };
+                log.push((ctx.now.as_u64(), p, seq, true, false));
+                seq += 1;
+                pending = Some(op);
+                Action::Op(op)
+            });
+        }
+        let mut m = b.build();
+        m.run(LIMIT).unwrap();
+
+        let arrivals = arrivals.lock().unwrap();
+        for r in 0..rounds {
+            let last = arrivals
+                .iter()
+                .filter(|a| a.0 == r)
+                .max_by_key(|a| a.2)
+                .unwrap();
+            assert_eq!(last.1, 2, "round {r}: node 2 must arrive last");
+        }
+        let mut log = log.lock().unwrap().clone();
+        log.sort_unstable();
+        let mut contention = ContentionTracker::new();
+        let mut write_runs = WriteRunTracker::new();
+        for &(_, p, _, begin, write) in &log {
+            let addr = COUNTER.as_u64();
+            if begin {
+                contention.begin(addr);
+            } else {
+                contention.end(addr);
+                write_runs.access(addr, p, write);
+            }
+        }
+        let s = m.stats();
+        let hist = |t: &ContentionTracker| t.histogram().iter().collect::<Vec<_>>();
+        assert_eq!(hist(&s.contention), hist(&contention));
+        assert!(
+            s.contention.histogram().count(nodes as usize) > 0,
+            "nodes 0 and 1 begin while the hits of nodes 2 and 3 are in progress"
+        );
+        assert!(write_runs.completed().count() > 0);
+        assert_eq!(s.write_runs.completed(), write_runs.completed());
+        assert_eq!(
+            s.write_runs.clone().finish().mean().to_bits(),
+            write_runs.finish().mean().to_bits()
+        );
+    }
+
     #[test]
     fn mixed_ordinary_and_sync_traffic() {
         // Ordinary (base-protocol) data next to sync data: processors

@@ -19,7 +19,7 @@
 
 use crate::env::RunEnv;
 use crate::program::{Action, ProcCtx, Program};
-use crate::stats::{merge_node_stats, MachineStats, NodeStats, SyncRec, SyncRecKind};
+use crate::stats::{MachineStats, NodeCounters};
 use dsm_mesh::{Mesh, NetPorts};
 use dsm_protocol::{
     check_invariants, check_line, AddressMap, CacheNode, CacheState, DirState, HomeNode,
@@ -393,15 +393,10 @@ struct Core {
     mem_busy: Vec<Cycle>,
     /// Per-node cache-controller server availability.
     cache_busy: Vec<Cycle>,
-    /// Per-node statistics, merged on demand (canonical node order).
-    nstats: Vec<NodeStats>,
-    /// Append-only log of sync begin/end records; replayed in canonical
-    /// coordinate order when global statistics are read.
-    sync_log: Vec<SyncRec>,
+    /// Statistics, updated in place in dispatch order.
+    stats: MachineStats,
     /// Per-node monotone sequence for local event keys.
     local_seq: Vec<u64>,
-    /// Per-node monotone sequence for sync-log coordinates.
-    sync_seq: Vec<u64>,
     /// Non-terminated processors.
     active: usize,
     events_processed: u64,
@@ -534,10 +529,11 @@ impl Core {
                 flits,
                 extra,
             );
-            let ns = &mut self.nstats[msg.src.index()];
-            ns.msgs.count(msg.kind.class());
-            ns.flits_sent += flits;
-            ns.transit_cycles += (wire_at - self.now).as_u64();
+            self.stats.msgs.count(msg.kind.class());
+            let n = &mut self.stats.nodes[msg.src.index()];
+            n.msgs_sent += 1;
+            n.flits_sent += flits;
+            n.transit_cycles += (wire_at - self.now).as_u64();
             if let Some(tracer) = &mut self.tracer {
                 if tracer.wants(Category::Msg) {
                     // Wire arrival, not final delivery: the exit port is
@@ -682,15 +678,7 @@ impl Core {
         let is_sync = sync_cfg.is_some();
         let i = p.index();
         if is_sync {
-            let seq = self.sync_seq[i];
-            self.sync_seq[i] += 1;
-            self.sync_log.push(SyncRec {
-                at: self.now.as_u64(),
-                proc: p.as_u32(),
-                seq,
-                addr: op.addr().as_u64(),
-                kind: SyncRecKind::Begin,
-            });
+            self.stats.contention.begin(op.addr().as_u64());
         }
         self.procs[i].current = Some((op, self.now, is_sync));
         if let Some(tracer) = &mut self.tracer {
@@ -800,10 +788,11 @@ impl Core {
         self.events_processed += new;
         self.elided += new;
         if done > 0 {
-            let ns = &mut self.nstats[i];
-            ns.ops += done;
-            ns.local_ops += done;
-            ns.op_latency_hist.record_n(hit, done);
+            let s = &mut self.stats;
+            s.ops += done;
+            s.local_ops += done;
+            s.op_latency_hist.record_n(hit, done);
+            s.nodes[i].ops += done;
             let last_done = self.elided_time(&park, &spin, (total - 1) / 3 * 3);
             self.last_retire = self.last_retire.max(last_done);
         }
@@ -889,32 +878,25 @@ impl Core {
             _ => None,
         };
         {
-            let ns = &mut self.nstats[i];
-            ns.ops += 1;
-            ns.op_latency_hist.record((self.now - issued).as_u64());
+            let s = &mut self.stats;
+            s.ops += 1;
+            s.op_latency_hist.record((self.now - issued).as_u64());
             if outcome.local {
-                ns.local_ops += 1;
+                s.local_ops += 1;
             }
             if is_sync {
-                ns.sync_ops += 1;
-                ns.msgs.record_chain(outcome.chain);
+                let addr = op.addr().as_u64();
+                s.sync_ops += 1;
+                s.msgs.record_chain(outcome.chain);
+                s.contention.end(addr);
+                let write = op.is_write() && outcome.result.succeeded();
+                s.write_runs.access(addr, p.as_u32(), write);
             }
+            let n = &mut s.nodes[i];
+            n.ops += 1;
             if failure.is_some() {
-                ns.retries += 1;
+                n.retries += 1;
             }
-        }
-        if is_sync {
-            let seq = self.sync_seq[i];
-            self.sync_seq[i] += 1;
-            self.sync_log.push(SyncRec {
-                at: self.now.as_u64(),
-                proc: p.as_u32(),
-                seq,
-                addr: op.addr().as_u64(),
-                kind: SyncRecKind::End {
-                    write: op.is_write() && outcome.result.succeeded(),
-                },
-            });
         }
         let span = std::mem::take(&mut self.procs[i].span);
         if let Some(tracer) = &mut self.tracer {
@@ -979,7 +961,7 @@ impl Core {
         let want_queue = tracer.is_some_and(|t| t.wants(Category::Queue));
         let mut out = std::mem::replace(&mut self.outbox, Outbox::new());
         if msg.kind.home_bound() {
-            self.nstats[node].served_home += 1;
+            self.stats.nodes[node].served_home += 1;
             let before = want_state.then(|| dir_label(self.homes[node].dir_state(line)));
             self.homes[node]
                 .handle(msg, &self.map, &mut out)
@@ -1009,7 +991,7 @@ impl Core {
             if self.procs[node].park.is_some() {
                 self.unpark(node, self.now);
             }
-            self.nstats[node].served_cache += 1;
+            self.stats.nodes[node].served_cache += 1;
             let proc = ProcId::new(msg.dst.as_u32());
             let before = want_state.then(|| cache_label(self.caches[node].cache_state(line)));
             let completed =
@@ -1317,6 +1299,10 @@ impl MachineBuilder {
             caches.push(cc);
         }
         let nodes = self.cfg.nodes;
+        let stats = MachineStats {
+            nodes: vec![NodeCounters::default(); nodes as usize],
+            ..MachineStats::default()
+        };
         let core = Core {
             map: self.map,
             mesh,
@@ -1328,10 +1314,8 @@ impl MachineBuilder {
             procs,
             mem_busy: vec![Cycle::ZERO; nodes as usize],
             cache_busy: vec![Cycle::ZERO; nodes as usize],
-            nstats: vec![NodeStats::default(); nodes as usize],
-            sync_log: Vec::new(),
+            stats,
             local_seq: vec![0; nodes as usize],
-            sync_seq: vec![0; nodes as usize],
             active: nodes as usize,
             events_processed: 0,
             last_retire: Cycle::ZERO,
@@ -1399,10 +1383,10 @@ impl Machine {
         self.core.now
     }
 
-    /// Accumulated statistics, merged from the per-node accumulators in
-    /// node order, with the sync log replayed in canonical order.
-    pub fn stats(&self) -> MachineStats {
-        merge_node_stats(&self.core.nstats, &self.core.sync_log)
+    /// Accumulated statistics. The machine updates them in place as it
+    /// dispatches events, so reading them does no work.
+    pub fn stats(&self) -> &MachineStats {
+        &self.core.stats
     }
 
     /// Network statistics.

@@ -13,6 +13,16 @@ use dsm_stats::{ChainStats, ContentionTracker, LatencyHist, WriteRunTracker};
 ///   operation;
 /// * `nodes` — each node's traffic and work ([`NodeCounters`]);
 /// * counters for completed operations.
+///
+/// The machine keeps one instance and updates it in place, at the
+/// event that produces each value, so reading it costs nothing. The
+/// contention and write-run trackers therefore see synchronization
+/// accesses in dispatch order. Within a cycle the dispatcher visits
+/// nodes in ascending order, and a processor's accesses come only from
+/// its own node's events, so that order is `(cycle, processor)` order.
+/// (A barrier arrival can schedule lower nodes' releases into its own
+/// cycle, but it records no access, and no access is outstanding when a
+/// barrier releases.)
 #[derive(Debug, Default)]
 pub struct MachineStats {
     /// Message counts and serialized-chain statistics.
@@ -70,9 +80,9 @@ impl MachineStats {
 /// network, what its home memory and cache controller served, and what
 /// its processor retired.
 ///
-/// Every counter is an O(1) increment the machine always makes, so the
-/// counters exist whether or not a tracer is attached and do not depend
-/// on trace categories.
+/// Every counter is an O(1) increment the machine always makes at the
+/// event that produces it, so the counters exist whether or not a
+/// tracer is attached and do not depend on trace categories.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NodeCounters {
     /// Messages this node injected into the network.
@@ -129,155 +139,9 @@ impl NodeCounters {
     }
 }
 
-/// Per-node statistics accumulator.
-///
-/// The machine accumulates every sample into the stats of the node that
-/// produced it, in that node's own event order. Global
-/// [`MachineStats`] are produced on demand by merging node accumulators
-/// in node order ([`merge_node_stats`]), so the one floating-point sum,
-/// the serialized-chain mean in `msgs.chains`, sees a fixed addition
-/// order, the one the committed artifacts were generated under.
-#[derive(Debug, Default, Clone)]
-pub(crate) struct NodeStats {
-    pub msgs: ChainStats,
-    pub ops: u64,
-    pub sync_ops: u64,
-    pub local_ops: u64,
-    pub op_latency_hist: LatencyHist,
-    pub flits_sent: u64,
-    pub transit_cycles: u64,
-    pub served_home: u64,
-    pub served_cache: u64,
-    pub retries: u64,
-}
-
-impl NodeStats {
-    /// The node's counters; messages and operations are the counts
-    /// already kept for the machine totals.
-    fn counters(&self) -> NodeCounters {
-        NodeCounters {
-            msgs_sent: self.msgs.total_messages(),
-            flits_sent: self.flits_sent,
-            transit_cycles: self.transit_cycles,
-            served_home: self.served_home,
-            served_cache: self.served_cache,
-            ops: self.ops,
-            retries: self.retries,
-        }
-    }
-}
-
-/// One entry of the canonical synchronization-access log.
-///
-/// Contention and write-run tracking are inherently *global* — the
-/// contention level of a line is the number of processors attempting it
-/// across the whole machine — so they cannot be accumulated per node.
-/// Instead every begin/end is logged with its canonical coordinates
-/// `(cycle, proc, per-proc sequence)`, and the trackers replay the log
-/// in sorted coordinate order when statistics are read
-/// ([`merge_node_stats`]). The committed artifacts' contention and
-/// write-run histograms come from this replay order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct SyncRec {
-    pub at: u64,
-    pub proc: u32,
-    pub seq: u64,
-    pub addr: u64,
-    pub kind: SyncRecKind,
-}
-
-/// What a [`SyncRec`] records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum SyncRecKind {
-    /// An atomic access began (samples the contention level).
-    Begin,
-    /// The access completed; `write` is true for a successful mutating
-    /// access (extends the location's write run).
-    End { write: bool },
-}
-
-/// Merges per-node accumulators (in node order) and replays the
-/// synchronization log (in canonical coordinate order) into global
-/// [`MachineStats`].
-pub(crate) fn merge_node_stats(nodes: &[NodeStats], log: &[SyncRec]) -> MachineStats {
-    let mut s = MachineStats::new();
-    for ns in nodes {
-        s.msgs.merge(&ns.msgs);
-        s.ops += ns.ops;
-        s.sync_ops += ns.sync_ops;
-        s.local_ops += ns.local_ops;
-        s.op_latency_hist.merge(&ns.op_latency_hist);
-        s.nodes.push(ns.counters());
-    }
-    let mut order: Vec<usize> = (0..log.len()).collect();
-    order.sort_by_key(|&i| (log[i].at, log[i].proc, log[i].seq));
-    for i in order {
-        let r = &log[i];
-        match r.kind {
-            SyncRecKind::Begin => s.contention.begin(r.addr, r.proc),
-            SyncRecKind::End { write } => {
-                s.contention.end(r.addr, r.proc);
-                s.write_runs.access(r.addr, r.proc, write);
-            }
-        }
-    }
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn merged_stats_replay_sync_log_in_canonical_order() {
-        let mut nodes = vec![NodeStats::default(), NodeStats::default()];
-        nodes[0].ops = 2;
-        nodes[0].op_latency_hist.record(10);
-        nodes[1].ops = 1;
-        nodes[1].op_latency_hist.record(30);
-        nodes[1].retries = 4;
-        // Log appended out of coordinate order (as a multi-worker run
-        // would): replay must sort by (cycle, proc, seq).
-        let log = vec![
-            SyncRec {
-                at: 5,
-                proc: 1,
-                seq: 0,
-                addr: 64,
-                kind: SyncRecKind::Begin,
-            },
-            SyncRec {
-                at: 3,
-                proc: 0,
-                seq: 0,
-                addr: 64,
-                kind: SyncRecKind::Begin,
-            },
-            SyncRec {
-                at: 9,
-                proc: 0,
-                seq: 1,
-                addr: 64,
-                kind: SyncRecKind::End { write: true },
-            },
-            SyncRec {
-                at: 9,
-                proc: 1,
-                seq: 1,
-                addr: 64,
-                kind: SyncRecKind::End { write: true },
-            },
-        ];
-        let s = merge_node_stats(&nodes, &log);
-        assert_eq!(s.ops, 3);
-        assert_eq!(s.op_latency_hist.total(), 2);
-        assert_eq!(s.nodes.len(), 2);
-        assert_eq!((s.nodes[0].ops, s.nodes[1].ops), (2, 1));
-        assert_eq!(s.nodes[1].retries, 4);
-        // proc0 begins alone (level 1), proc1 joins (level 2).
-        assert_eq!(s.contention.histogram().count(1), 1);
-        assert_eq!(s.contention.histogram().count(2), 1);
-    }
 
     #[test]
     fn local_fraction_handles_zero() {

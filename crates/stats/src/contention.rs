@@ -18,10 +18,10 @@ use dsm_sim::StableHashMap;
 /// use dsm_stats::ContentionTracker;
 ///
 /// let mut t = ContentionTracker::new();
-/// t.begin(100, 0); // p0 alone: contention 1
-/// t.begin(100, 1); // p1 joins: contention 2
-/// t.end(100, 0);
-/// t.end(100, 1);
+/// t.begin(100); // p0 alone: contention 1
+/// t.begin(100); // p1 joins: contention 2
+/// t.end(100);
+/// t.end(100);
 /// let h = t.histogram();
 /// assert_eq!(h.count(1), 1);
 /// assert_eq!(h.count(2), 1);
@@ -39,9 +39,9 @@ impl ContentionTracker {
         Self::default()
     }
 
-    /// Marks the beginning of an atomic access by `_proc` to `location`
-    /// and samples the contention level (including this processor).
-    pub fn begin(&mut self, location: u64, _proc: u32) {
+    /// Marks the beginning of an atomic access to `location` and
+    /// samples the contention level (including the accessing processor).
+    pub fn begin(&mut self, location: u64) {
         let n = self.active.entry(location).or_insert(0);
         *n += 1;
         self.histogram.record(*n as usize);
@@ -53,7 +53,7 @@ impl ContentionTracker {
     ///
     /// Panics if no access to `location` is in progress (an unmatched
     /// `end` indicates an instrumentation bug).
-    pub fn end(&mut self, location: u64, _proc: u32) {
+    pub fn end(&mut self, location: u64) {
         let n = self
             .active
             .get_mut(&location)
@@ -101,9 +101,9 @@ mod tests {
     #[test]
     fn uncontended_accesses_record_one() {
         let mut t = ContentionTracker::new();
-        for i in 0..10 {
-            t.begin(5, i);
-            t.end(5, i);
+        for _ in 0..10 {
+            t.begin(5);
+            t.end(5);
         }
         assert_eq!(t.histogram().count(1), 10);
         assert_eq!(t.histogram().total(), 10);
@@ -112,12 +112,12 @@ mod tests {
     #[test]
     fn overlapping_accesses_raise_the_level() {
         let mut t = ContentionTracker::new();
-        for i in 0..4 {
-            t.begin(5, i);
+        for _ in 0..4 {
+            t.begin(5);
         }
         assert_eq!(t.in_progress(5), 4);
-        for i in 0..4 {
-            t.end(5, i);
+        for _ in 0..4 {
+            t.end(5);
         }
         // Levels sampled: 1, 2, 3, 4.
         for v in 1..=4 {
@@ -129,20 +129,20 @@ mod tests {
     #[test]
     fn locations_tracked_independently() {
         let mut t = ContentionTracker::new();
-        t.begin(1, 0);
-        t.begin(2, 1);
+        t.begin(1);
+        t.begin(2);
         assert_eq!(t.in_progress(1), 1);
         assert_eq!(t.in_progress(2), 1);
         assert_eq!(t.histogram().count(1), 2);
         assert_eq!(t.histogram().count(2), 0);
-        t.end(1, 0);
-        t.end(2, 1);
+        t.end(1);
+        t.end(2);
     }
 
     #[test]
     #[should_panic(expected = "without matching begin")]
     fn unmatched_end_panics() {
         let mut t = ContentionTracker::new();
-        t.end(1, 0);
+        t.end(1);
     }
 }

@@ -120,13 +120,6 @@ impl Histogram {
         }
     }
 
-    /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (v, c) in other.iter() {
-            self.record_n(v, c);
-        }
-    }
-
     /// Renders the histogram as percentage-per-value lines, e.g. for the
     /// Figure 2 reproduction:
     ///
@@ -193,19 +186,6 @@ mod tests {
         h.record_n(3, 0);
         assert_eq!(h.total(), 0);
         assert_eq!(h.max_value(), None);
-    }
-
-    #[test]
-    fn merge_adds_counts() {
-        let mut a = Histogram::new();
-        a.record(1);
-        let mut b = Histogram::new();
-        b.record(1);
-        b.record(4);
-        a.merge(&b);
-        assert_eq!(a.count(1), 2);
-        assert_eq!(a.count(4), 1);
-        assert_eq!(a.total(), 3);
     }
 
     #[test]

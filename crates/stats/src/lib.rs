@@ -100,18 +100,6 @@ impl OnlineMean {
         self.max
     }
 
-    /// Merges another accumulator into this one.
-    pub fn merge(&mut self, other: &OnlineMean) {
-        self.count += other.count;
-        self.sum += other.sum;
-        if let Some(m) = other.min {
-            self.min = Some(self.min.map_or(m, |s| s.min(m)));
-        }
-        if let Some(m) = other.max {
-            self.max = Some(self.max.map_or(m, |s| s.max(m)));
-        }
-    }
-
     /// Folds the accumulator's exact state (count, bit-exact sum,
     /// min/max) into a state digest.
     pub fn digest(&self, h: &mut dsm_sim::StableHasher) {
@@ -140,31 +128,5 @@ mod tests {
         assert_eq!(m.count(), 0);
         assert_eq!(m.min(), None);
         assert_eq!(m.max(), None);
-    }
-
-    #[test]
-    fn merge_combines_everything() {
-        let mut a = OnlineMean::new();
-        a.add(1.0);
-        a.add(3.0);
-        let mut b = OnlineMean::new();
-        b.add(5.0);
-        a.merge(&b);
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.mean(), 3.0);
-        assert_eq!(a.min(), Some(1.0));
-        assert_eq!(a.max(), Some(5.0));
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = OnlineMean::new();
-        a.add(2.0);
-        let before = a.clone();
-        a.merge(&OnlineMean::new());
-        assert_eq!(a, before);
-        let mut e = OnlineMean::new();
-        e.merge(&before);
-        assert_eq!(e, before);
     }
 }

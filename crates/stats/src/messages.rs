@@ -131,14 +131,6 @@ impl ChainStats {
         }
         self.chains.digest(h);
     }
-
-    /// Merges another instance into this one.
-    pub fn merge(&mut self, other: &ChainStats) {
-        for i in 0..self.counts.len() {
-            self.counts[i] += other.counts[i];
-        }
-        self.chains.merge(&other.chains);
-    }
 }
 
 #[cfg(test)]
@@ -165,20 +157,6 @@ mod tests {
         assert_eq!(s.chains().mean(), 3.0);
         assert_eq!(s.chains().count(), 2);
         assert_eq!((s.chains().min(), s.chains().max()), (Some(2.0), Some(4.0)));
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let mut a = ChainStats::new();
-        a.count(MsgClass::Reply);
-        a.record_chain(3);
-        let mut b = ChainStats::new();
-        b.count(MsgClass::Reply);
-        b.record_chain(1);
-        a.merge(&b);
-        assert_eq!(a.messages(MsgClass::Reply), 2);
-        assert_eq!(a.chains().count(), 2);
-        assert_eq!(a.chains().mean(), 2.0);
     }
 
     #[test]
