@@ -48,7 +48,9 @@ use crate::experiments::{BarSpec, CounterKind, Scale};
 use dsm_machine::EnvKey;
 use dsm_protocol::{CasVariant, LlscScheme, SyncPolicy};
 use dsm_sim::snapshot::{self, ByteReader, ByteWriter, PayloadKind, SnapshotError};
-use dsm_sim::{FaultConfig, MachineConfig, ProtoSpec, ProtoVariant, StableHasher};
+use dsm_sim::{
+    CacheParams, FaultConfig, MachineConfig, ProtoSpec, ProtoVariant, SimParams, StableHasher,
+};
 use dsm_stats::{Histogram, LatencyHist};
 use dsm_sync::{LinkPrim, Primitive};
 use dsm_workloads::LfStructure;
@@ -185,21 +187,32 @@ fn bad_tag(what: &str, tag: u8) -> SnapshotError {
     SnapshotError::Malformed(format!("unknown {what} tag {tag}"))
 }
 
+/// Every field is named, here and in [`put_mcfg`] and [`put_scale`],
+/// so a new field does not compile until the encoding carries it.
 fn put_bar(w: &mut ByteWriter, b: &BarSpec) {
-    put_policy(w, b.policy);
-    w.put_u8(match b.prim {
+    let BarSpec {
+        policy,
+        prim,
+        cas_variant,
+        load_exclusive,
+        drop_copy,
+        llsc,
+        home_atomics,
+    } = *b;
+    put_policy(w, policy);
+    w.put_u8(match prim {
         Primitive::FetchPhi => 0,
         Primitive::Llsc => 1,
         Primitive::Cas => 2,
     });
-    w.put_u8(match b.cas_variant {
+    w.put_u8(match cas_variant {
         CasVariant::Plain => 0,
         CasVariant::Deny => 1,
         CasVariant::Share => 2,
     });
-    w.put_bool(b.load_exclusive);
-    w.put_bool(b.drop_copy);
-    match b.llsc {
+    w.put_bool(load_exclusive);
+    w.put_bool(drop_copy);
+    match llsc {
         LlscScheme::BitVector => w.put_u8(0),
         LlscScheme::LinkedList => w.put_u8(1),
         LlscScheme::Limited(k) => {
@@ -208,7 +221,7 @@ fn put_bar(w: &mut ByteWriter, b: &BarSpec) {
         }
         LlscScheme::SerialNumber => w.put_u8(3),
     }
-    w.put_bool(b.home_atomics);
+    w.put_bool(home_atomics);
 }
 
 fn take_bar(r: &mut ByteReader<'_>) -> Result<BarSpec, SnapshotError> {
@@ -246,33 +259,56 @@ fn take_bar(r: &mut ByteReader<'_>) -> Result<BarSpec, SnapshotError> {
 }
 
 fn put_mcfg(w: &mut ByteWriter, m: &MachineConfig) {
-    w.put_u32(m.nodes);
-    w.put_u32(m.mesh_width);
-    let p = &m.params;
+    let MachineConfig {
+        nodes,
+        mesh_width,
+        ref params,
+        ref cache,
+        seed,
+        proto,
+        clusters,
+        ref faults,
+    } = *m;
+    let SimParams {
+        line_size,
+        cache_hit,
+        cache_ctrl,
+        mem_access,
+        dir_access,
+        hop_delay,
+        flit_bytes,
+        flit_cycle,
+        header_flits,
+        issue,
+        cluster_penalty,
+    } = *params;
+    let CacheParams { sets, ways } = *cache;
+    w.put_u32(nodes);
+    w.put_u32(mesh_width);
     for v in [
-        p.line_size,
-        p.cache_hit,
-        p.cache_ctrl,
-        p.mem_access,
-        p.dir_access,
-        p.hop_delay,
-        p.flit_bytes,
-        p.flit_cycle,
-        p.header_flits,
-        p.issue,
-        p.cluster_penalty,
+        line_size,
+        cache_hit,
+        cache_ctrl,
+        mem_access,
+        dir_access,
+        hop_delay,
+        flit_bytes,
+        flit_cycle,
+        header_flits,
+        issue,
+        cluster_penalty,
     ] {
         w.put_u64(v);
     }
-    put_variant(w, m.proto);
-    w.put_u32(m.clusters);
-    w.put_u64(m.cache.sets as u64);
-    w.put_u64(m.cache.ways as u64);
-    w.put_u64(m.seed);
+    put_variant(w, proto);
+    w.put_u32(clusters);
+    w.put_u64(sets as u64);
+    w.put_u64(ways as u64);
+    w.put_u64(seed);
     // The fault config is spelled out even though the seed fingerprint
     // omits it: two jobs differing only in faults must never be
     // mistaken for each other on disk.
-    put_faults(w, &m.faults);
+    put_faults(w, faults);
 }
 
 fn take_mcfg(r: &mut ByteReader<'_>) -> Result<MachineConfig, SnapshotError> {
@@ -359,11 +395,17 @@ pub(crate) fn take_env(r: &mut ByteReader<'_>) -> Result<EnvKey, SnapshotError> 
 }
 
 fn put_scale(w: &mut ByteWriter, s: &Scale) {
-    w.put_u32(s.procs);
-    w.put_u64(s.rounds);
-    w.put_u64(s.tc_size);
-    w.put_u64(s.wires);
-    w.put_u64(s.tasks);
+    let Scale {
+        procs,
+        rounds,
+        tc_size,
+        wires,
+        tasks,
+    } = *s;
+    w.put_u32(procs);
+    for v in [rounds, tc_size, wires, tasks] {
+        w.put_u64(v);
+    }
 }
 
 fn take_scale(r: &mut ByteReader<'_>) -> Result<Scale, SnapshotError> {

@@ -51,7 +51,7 @@ use crate::experiments::{
 };
 use dsm_machine::{EnvKey, Machine, RunEnv, RunError, RunReport};
 use dsm_protocol::{CasVariant, LlscScheme, SyncPolicy};
-use dsm_sim::{Cycle, MachineConfig, ProtoVariant, StableHasher};
+use dsm_sim::{CacheParams, Cycle, MachineConfig, ProtoVariant, SimParams, StableHasher};
 use dsm_sync::{LinkPrim, Primitive};
 use dsm_workloads::LfStructure;
 use std::collections::{HashMap, HashSet};
@@ -225,11 +225,17 @@ impl Job {
                     App::TransitiveClosure => 2,
                 });
                 put_bar(h, bar);
-                h.write_u32(scale.procs);
-                h.write_u64(scale.rounds);
-                h.write_u64(scale.tc_size);
-                h.write_u64(scale.wires);
-                h.write_u64(scale.tasks);
+                let Scale {
+                    procs,
+                    rounds,
+                    tc_size,
+                    wires,
+                    tasks,
+                } = *scale;
+                h.write_u32(procs);
+                for v in [rounds, tc_size, wires, tasks] {
+                    h.write_u64(v);
+                }
             }
             Job::Table1 { scenario } => {
                 h.write_u8(2);
@@ -269,67 +275,103 @@ impl Job {
     }
 }
 
+/// Every field is named, here and in [`put_bar`], so a new field does
+/// not compile until the key decides what to do with it.
 fn put_machine(h: &mut StableHasher, m: &MachineConfig) {
-    h.write_u32(m.nodes);
-    h.write_u32(m.mesh_width);
-    h.write_u64(m.seed);
-    let p = &m.params;
+    let MachineConfig {
+        nodes,
+        mesh_width,
+        ref params,
+        ref cache,
+        seed,
+        proto,
+        clusters,
+        // A faulted job keeps its fault-free twin's seed; the job's own
+        // equality and the disk key still tell the two apart.
+        faults: _,
+    } = *m;
+    let SimParams {
+        line_size,
+        cache_hit,
+        cache_ctrl,
+        mem_access,
+        dir_access,
+        hop_delay,
+        flit_bytes,
+        flit_cycle,
+        header_flits,
+        issue,
+        cluster_penalty,
+    } = *params;
+    let CacheParams { sets, ways } = *cache;
+    h.write_u32(nodes);
+    h.write_u32(mesh_width);
+    h.write_u64(seed);
     for v in [
-        p.line_size,
-        p.cache_hit,
-        p.cache_ctrl,
-        p.mem_access,
-        p.dir_access,
-        p.hop_delay,
-        p.flit_bytes,
-        p.flit_cycle,
-        p.header_flits,
-        p.issue,
+        line_size,
+        cache_hit,
+        cache_ctrl,
+        mem_access,
+        dir_access,
+        hop_delay,
+        flit_bytes,
+        flit_cycle,
+        header_flits,
+        issue,
     ] {
         h.write_u64(v);
     }
-    h.write_usize(m.cache.sets);
-    h.write_usize(m.cache.ways);
+    h.write_usize(sets);
+    h.write_usize(ways);
     // Protocol-variant fields are hashed only when non-default, so
     // every pre-existing job fingerprint (and therefore every committed
     // golden artifact) is byte-for-byte unchanged.
-    if m.proto != ProtoVariant::Dash {
+    if proto != ProtoVariant::Dash {
         h.write_u8(0xA0);
-        h.write_u8(match m.proto {
+        h.write_u8(match proto {
             ProtoVariant::Dash => 0,
             ProtoVariant::MesiF => 1,
             ProtoVariant::Hier => 2,
         });
     }
-    if m.clusters != 1 {
+    if clusters != 1 {
         h.write_u8(0xA1);
-        h.write_u32(m.clusters);
+        h.write_u32(clusters);
     }
-    if m.params.cluster_penalty != 0 {
+    if cluster_penalty != 0 {
         h.write_u8(0xA2);
-        h.write_u64(m.params.cluster_penalty);
+        h.write_u64(cluster_penalty);
     }
 }
 
 fn put_bar(h: &mut StableHasher, b: &BarSpec) {
-    h.write_u8(match b.policy {
+    let BarSpec {
+        policy,
+        prim,
+        cas_variant,
+        load_exclusive,
+        drop_copy,
+        llsc,
+        home_atomics,
+    } = *b;
+    h.write_u8(match policy {
         SyncPolicy::Inv => 0,
         SyncPolicy::Upd => 1,
         SyncPolicy::Unc => 2,
     });
-    h.write_u8(match b.prim {
+    h.write_u8(match prim {
         Primitive::FetchPhi => 0,
         Primitive::Llsc => 1,
         Primitive::Cas => 2,
     });
-    h.write_u8(match b.cas_variant {
+    h.write_u8(match cas_variant {
         CasVariant::Plain => 0,
         CasVariant::Deny => 1,
         CasVariant::Share => 2,
     });
-    h.write_u8(u8::from(b.load_exclusive));
-    h.write_u8(u8::from(b.drop_copy));
-    match b.llsc {
+    h.write_u8(u8::from(load_exclusive));
+    h.write_u8(u8::from(drop_copy));
+    match llsc {
         LlscScheme::BitVector => h.write_u8(0),
         LlscScheme::LinkedList => h.write_u8(1),
         LlscScheme::Limited(k) => {
@@ -340,7 +382,7 @@ fn put_bar(h: &mut StableHasher, b: &BarSpec) {
     }
     // Non-default-only, like the machine's protocol-variant fields:
     // bars without home atomics keep their historical fingerprints.
-    if b.home_atomics {
+    if home_atomics {
         h.write_u8(0xB7);
     }
 }

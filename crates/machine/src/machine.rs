@@ -1276,17 +1276,12 @@ impl MachineBuilder {
             .then(|| FaultInjector::new(faults.clone(), seed_rng.fork(0xFA17)));
         let mut homes = Vec::with_capacity(self.cfg.nodes as usize);
         let mut caches = Vec::with_capacity(self.cfg.nodes as usize);
-        // Each home serves roughly the lines that fit in one node's
-        // cache; each node can have a handful of events in flight
-        // (messages, processor steps, memory completions).
         if self.hna {
             self.map.enable_home_atomics();
         }
-        let resv_lines = self.cfg.cache.lines();
         let (mesh_width, _) = self.cfg.mesh_dims();
         for n in 0..self.cfg.nodes {
             let mut home = HomeNode::new(NodeId::new(n), self.cfg.params.line_size, self.llsc_pool);
-            home.reserve_lines(resv_lines);
             home.set_topology(
                 self.cfg.proto,
                 mesh_width,
@@ -1307,6 +1302,8 @@ impl MachineBuilder {
             map: self.map,
             mesh,
             now: Cycle::ZERO,
+            // Each node can have a handful of events in flight
+            // (messages, processor steps, memory completions).
             events: EventQueue::with_capacity(nodes as usize * 8),
             ports: NetPorts::new(nodes),
             homes,

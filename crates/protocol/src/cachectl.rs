@@ -10,7 +10,7 @@ use crate::cache::{Cache, CacheLine, CacheState};
 use crate::data::LineData;
 use crate::error::{ProtocolError, ProtocolErrorKind};
 use crate::home::Outbox;
-use crate::msg::{MemAtomicOp, Msg, MsgKind};
+use crate::msg::{Msg, MsgKind};
 use crate::reservation::CacheReservation;
 use crate::types::{CasVariant, MemOp, OpResult, SyncConfig, SyncPolicy};
 use dsm_sim::{Addr, CacheParams, LineAddr, NodeId, ProcId};
@@ -378,17 +378,16 @@ impl CacheNode {
             self.cache.state(op.addr().line(self.line_size)).is_none(),
             "UNC lines must never be cached"
         );
-        let mem_op = match op {
-            MemOp::DropCopy { .. } => return Self::local(OpResult::Stored),
-            MemOp::Load { .. } | MemOp::LoadExclusive { .. } => MemAtomicOp::Load,
-            MemOp::Store { value, .. } => MemAtomicOp::Store { value },
-            MemOp::FetchPhi { op, .. } => MemAtomicOp::Phi { op },
-            MemOp::Cas { expected, new, .. } => MemAtomicOp::Cas { expected, new },
-            MemOp::LoadLinked { .. } => MemAtomicOp::Ll,
-            MemOp::StoreConditional { value, serial, .. } => MemAtomicOp::Sc { value, serial },
-        };
-        let msg = self.request(op.addr(), MsgKind::AtomicMem { op: mem_op });
-        out.send(msg);
+        if let MemOp::DropCopy { .. } = op {
+            return Self::local(OpResult::Stored);
+        }
+        self.issue(op, MsgKind::AtomicMem { op }, out)
+    }
+
+    /// Sends `kind` to the home of `op`'s line and blocks `op` in the
+    /// MSHR until the reply completes it.
+    fn issue(&mut self, op: MemOp, kind: MsgKind, out: &mut Outbox) -> Option<OpOutcome> {
+        out.send(self.request(op.addr(), kind));
         self.alloc_mshr(op);
         None
     }
@@ -408,10 +407,7 @@ impl CacheNode {
                         reserved: false,
                     });
                 }
-                let msg = self.request(addr, MsgKind::GetS);
-                out.send(msg);
-                self.alloc_mshr(op);
-                None
+                self.issue(op, MsgKind::GetS, out)
             }
             MemOp::DropCopy { .. } => {
                 if self.cache.remove(line).is_some() {
@@ -420,63 +416,14 @@ impl CacheNode {
                 }
                 Self::local(OpResult::Stored)
             }
-            MemOp::Store { value, .. } => {
-                let msg = self.request(
-                    addr,
-                    MsgKind::AtomicMem {
-                        op: MemAtomicOp::Store { value },
-                    },
-                );
-                out.send(msg);
-                self.alloc_mshr(op);
-                None
-            }
-            MemOp::FetchPhi { op: phi, .. } => {
-                let msg = self.request(
-                    addr,
-                    MsgKind::AtomicMem {
-                        op: MemAtomicOp::Phi { op: phi },
-                    },
-                );
-                out.send(msg);
-                self.alloc_mshr(op);
-                None
-            }
-            MemOp::Cas { expected, new, .. } => {
-                let msg = self.request(
-                    addr,
-                    MsgKind::AtomicMem {
-                        op: MemAtomicOp::Cas { expected, new },
-                    },
-                );
-                out.send(msg);
-                self.alloc_mshr(op);
-                None
-            }
-            // "Load_linked requests have to go to memory even if the
-            // datum is cached, in order to set the reservation" (§3).
-            MemOp::LoadLinked { .. } => {
-                let msg = self.request(
-                    addr,
-                    MsgKind::AtomicMem {
-                        op: MemAtomicOp::Ll,
-                    },
-                );
-                out.send(msg);
-                self.alloc_mshr(op);
-                None
-            }
-            MemOp::StoreConditional { value, serial, .. } => {
-                let msg = self.request(
-                    addr,
-                    MsgKind::AtomicMem {
-                        op: MemAtomicOp::Sc { value, serial },
-                    },
-                );
-                out.send(msg);
-                self.alloc_mshr(op);
-                None
-            }
+            // Writes and atomics execute at the memory; "load_linked
+            // requests have to go to memory even if the datum is cached,
+            // in order to set the reservation" (§3).
+            MemOp::Store { .. }
+            | MemOp::FetchPhi { .. }
+            | MemOp::Cas { .. }
+            | MemOp::LoadLinked { .. }
+            | MemOp::StoreConditional { .. } => self.issue(op, MsgKind::AtomicMem { op }, out),
         }
     }
 
@@ -497,11 +444,6 @@ impl CacheNode {
         // while serving the operation. Loads, stores and LL/SC below
         // keep their normal INV handling.
         if cfg.home_atomics && matches!(op, MemOp::FetchPhi { .. } | MemOp::Cas { .. }) {
-            let mem_op = match op {
-                MemOp::FetchPhi { op: phi, .. } => MemAtomicOp::Phi { op: phi },
-                MemOp::Cas { expected, new, .. } => MemAtomicOp::Cas { expected, new },
-                _ => unreachable!("gated on FetchPhi | Cas"),
-            };
             self.resv.invalidate_line(line);
             if let Some(l) = self.cache.remove(line) {
                 if l.state == CacheState::Exclusive {
@@ -509,10 +451,7 @@ impl CacheNode {
                     out.send(msg);
                 }
             }
-            let msg = self.request(addr, MsgKind::AtomicMem { op: mem_op });
-            out.send(msg);
-            self.alloc_mshr(op);
-            return Ok(None);
+            return Ok(self.issue(op, MsgKind::AtomicMem { op }, out));
         }
         // Loads hit in any state, so one LRU-updating probe suffices —
         // this is the simulator's single most common path. Write-type
@@ -528,10 +467,7 @@ impl CacheNode {
                         reserved: false,
                     })
                 } else {
-                    let msg = self.request(addr, MsgKind::GetS);
-                    out.send(msg);
-                    self.alloc_mshr(op);
-                    None
+                    self.issue(op, MsgKind::GetS, out)
                 });
             }
             MemOp::LoadLinked { .. } => {
@@ -544,75 +480,36 @@ impl CacheNode {
                         reserved: true,
                     })
                 } else {
-                    let msg = self.request(addr, MsgKind::GetS);
-                    out.send(msg);
-                    self.alloc_mshr(op);
-                    None
+                    self.issue(op, MsgKind::GetS, out)
                 });
             }
             _ => {}
         }
         let state = self.cache.state(line);
         Ok(match op {
-            MemOp::Store { value, .. } => match state {
-                Some(CacheState::Exclusive) => {
-                    self.resident(line, "store hit on an absent line")?
-                        .data
-                        .set_word(addr, value);
-                    Self::local(OpResult::Stored)
-                }
-                held => self.miss_for_exclusive(op, held.is_some(), out),
-            },
-            MemOp::LoadExclusive { .. } => match state {
-                Some(CacheState::Exclusive) => {
-                    let value = self
-                        .resident(line, "load_exclusive hit on an absent line")?
-                        .data
-                        .word(addr);
-                    Self::local(OpResult::Loaded {
-                        value,
-                        serial: None,
-                        reserved: false,
-                    })
-                }
-                held => self.miss_for_exclusive(op, held.is_some(), out),
-            },
-            MemOp::FetchPhi { op: phi, .. } => match state {
-                Some(CacheState::Exclusive) => {
-                    let l = self.resident(line, "fetch_phi hit on an absent line")?;
-                    let old = l.data.word(addr);
-                    l.data.set_word(addr, phi.apply(old));
-                    Self::local(OpResult::Fetched { old })
-                }
-                held => self.miss_for_exclusive(op, held.is_some(), out),
-            },
-            MemOp::Cas { expected, new, .. } => match state {
-                Some(CacheState::Exclusive) => {
-                    let l = self.resident(line, "CAS hit on an absent line")?;
-                    let observed = l.data.word(addr);
-                    let success = observed == expected;
-                    if success {
-                        l.data.set_word(addr, new);
-                    }
-                    Self::local(OpResult::CasDone { success, observed })
-                }
-                held => match cas {
-                    CasVariant::Plain => self.miss_for_exclusive(op, held.is_some(), out),
-                    CasVariant::Deny | CasVariant::Share => {
-                        let msg = self.request(
-                            addr,
-                            MsgKind::CasHome {
-                                expected,
-                                new,
-                                variant: cas,
-                            },
-                        );
-                        out.send(msg);
-                        self.alloc_mshr(op);
-                        None
-                    }
-                },
-            },
+            MemOp::Store { .. }
+            | MemOp::LoadExclusive { .. }
+            | MemOp::FetchPhi { .. }
+            | MemOp::Cas { .. }
+                if state == Some(CacheState::Exclusive) =>
+            {
+                Self::local(self.apply_resident(line, op, "exclusive hit on an absent line")?)
+            }
+            MemOp::Cas { expected, new, .. } if cas != CasVariant::Plain => {
+                let kind = MsgKind::CasHome {
+                    expected,
+                    new,
+                    variant: cas,
+                };
+                self.issue(op, kind, out)
+            }
+            MemOp::Store { .. }
+            | MemOp::LoadExclusive { .. }
+            | MemOp::FetchPhi { .. }
+            | MemOp::Cas { .. } => {
+                let from_shared = state.is_some();
+                self.issue(op, MsgKind::GetX { from_shared }, out)
+            }
             MemOp::StoreConditional { value, .. } => {
                 if !self.resv.valid_for(line) {
                     // Fails locally without any network traffic.
@@ -626,12 +523,7 @@ impl CacheNode {
                             .set_word(addr, value);
                         Self::local(OpResult::ScDone { success: true })
                     }
-                    Some(CacheState::Shared) => {
-                        let msg = self.request(addr, MsgKind::ScInv);
-                        out.send(msg);
-                        self.alloc_mshr(op);
-                        None
-                    }
+                    Some(CacheState::Shared) => self.issue(op, MsgKind::ScInv, out),
                     None => {
                         // A valid reservation implies a resident line
                         // (losing the line clears the reservation).
@@ -661,16 +553,22 @@ impl CacheNode {
         })
     }
 
-    fn miss_for_exclusive(
+    /// Executes `op` on its word in the resident copy of `line` with
+    /// [`MemOp::apply`], writing the new value if there is one.
+    #[inline]
+    fn apply_resident(
         &mut self,
+        line: LineAddr,
         op: MemOp,
-        from_shared: bool,
-        out: &mut Outbox,
-    ) -> Option<OpOutcome> {
-        let msg = self.request(op.addr(), MsgKind::GetX { from_shared });
-        out.send(msg);
-        self.alloc_mshr(op);
-        None
+        detail: &str,
+    ) -> Result<OpResult, ProtocolError> {
+        let l = self.resident(line, detail)?;
+        debug_assert!(!op.is_write() || l.state == CacheState::Exclusive);
+        let (result, write) = op.apply(l.data.word(op.addr()));
+        if let Some(value) = write {
+            l.data.set_word(op.addr(), value);
+        }
+        Ok(result)
     }
 
     /// Handles an incoming network message. Returns the outcome if it
@@ -1044,17 +942,6 @@ impl CacheNode {
                 // Plain data/upgrade reply: perform the operation now
                 // that the line is resident with sufficient permission.
                 match m.op {
-                    MemOp::Load { .. } | MemOp::LoadExclusive { .. } => {
-                        let value = self
-                            .resident(m.line, "completing load of an absent line")?
-                            .data
-                            .word(addr);
-                        OpResult::Loaded {
-                            value,
-                            serial: None,
-                            reserved: false,
-                        }
-                    }
                     MemOp::LoadLinked { .. } => {
                         let value = self
                             .resident(m.line, "completing LL of an absent line")?
@@ -1067,28 +954,12 @@ impl CacheNode {
                             reserved: true,
                         }
                     }
-                    MemOp::Store { value, .. } => {
-                        let l = self.resident(m.line, "completing store of an absent line")?;
-                        debug_assert_eq!(l.state, CacheState::Exclusive);
-                        l.data.set_word(addr, value);
-                        OpResult::Stored
-                    }
-                    MemOp::FetchPhi { op: phi, .. } => {
-                        let l = self.resident(m.line, "completing fetch_phi of an absent line")?;
-                        debug_assert_eq!(l.state, CacheState::Exclusive);
-                        let old = l.data.word(addr);
-                        l.data.set_word(addr, phi.apply(old));
-                        OpResult::Fetched { old }
-                    }
-                    MemOp::Cas { expected, new, .. } => {
-                        let l = self.resident(m.line, "completing CAS of an absent line")?;
-                        debug_assert_eq!(l.state, CacheState::Exclusive);
-                        let observed = l.data.word(addr);
-                        let success = observed == expected;
-                        if success {
-                            l.data.set_word(addr, new);
-                        }
-                        OpResult::CasDone { success, observed }
+                    MemOp::Load { .. }
+                    | MemOp::LoadExclusive { .. }
+                    | MemOp::Store { .. }
+                    | MemOp::FetchPhi { .. }
+                    | MemOp::Cas { .. } => {
+                        self.apply_resident(m.line, m.op, "completing an op on an absent line")?
                     }
                     MemOp::StoreConditional { .. } | MemOp::DropCopy { .. } => {
                         return Err(self.err(
@@ -1187,7 +1058,7 @@ mod tests {
         assert!(matches!(
             sent[0].kind,
             MsgKind::AtomicMem {
-                op: MemAtomicOp::Phi { .. }
+                op: MemOp::FetchPhi { .. }
             }
         ));
         assert!(c.cache_state(LINE).is_none());
@@ -1253,7 +1124,7 @@ mod tests {
         assert!(matches!(
             sent[1].kind,
             MsgKind::AtomicMem {
-                op: MemAtomicOp::Cas { .. }
+                op: MemOp::Cas { .. }
             }
         ));
         assert_eq!(sent[0].dst, sent[1].dst, "same src→home FIFO channel");
@@ -1802,7 +1673,7 @@ mod tests {
         assert!(matches!(
             sent[0].kind,
             MsgKind::AtomicMem {
-                op: MemAtomicOp::Phi { .. }
+                op: MemOp::FetchPhi { .. }
             }
         ));
 
@@ -1888,7 +1759,7 @@ mod tests {
         assert!(matches!(
             sent[0].kind,
             MsgKind::AtomicMem {
-                op: MemAtomicOp::Store { .. }
+                op: MemOp::Store { .. }
             }
         ));
 

@@ -13,10 +13,10 @@ use crate::addrmap::AddressMap;
 use crate::data::LineData;
 use crate::directory::{Busy, BusyKind, DirEntry, DirState};
 use crate::error::{ProtocolError, ProtocolErrorKind};
-use crate::msg::{MemAtomicOp, Msg, MsgKind};
+use crate::msg::{Msg, MsgKind};
 use crate::nodeset::NodeSet;
 use crate::reservation::ReservationStore;
-use crate::types::{CasVariant, OpResult, SyncPolicy, Value};
+use crate::types::{CasVariant, MemOp, OpResult, SyncPolicy, Value};
 use dsm_sim::{LineAddr, NodeId, ProtoVariant, StableHashMap};
 
 /// Messages emitted by a protocol engine during one handling step.
@@ -162,14 +162,6 @@ impl HomeNode {
         }
     }
 
-    /// Pre-sizes the directory and memory tables for an expected number
-    /// of distinct resident lines, avoiding rehash-and-grow churn during
-    /// the run's warm-up.
-    pub fn reserve_lines(&mut self, lines: usize) {
-        self.dir.reserve(lines);
-        self.mem.reserve(lines);
-    }
-
     /// Reads a word directly from backing memory (for tests and the
     /// consistency oracle). Note that for a dirty line the current value
     /// lives in the owner's cache, not here.
@@ -195,6 +187,12 @@ impl HomeNode {
     /// `true` if `line` has an intervention outstanding.
     pub fn is_busy(&self, line: LineAddr) -> bool {
         self.dir.get(&line).is_some_and(DirEntry::is_busy)
+    }
+
+    /// The node whose request the intervention outstanding on `line`
+    /// serves, if the line is busy.
+    pub fn busy_requester(&self, line: LineAddr) -> Option<NodeId> {
+        self.dir.get(&line)?.busy.as_ref().map(|b| b.request.src)
     }
 
     /// Number of requests queued behind busy lines (for tests/metrics).
@@ -599,7 +597,7 @@ impl HomeNode {
     fn handle_atomic_mem(
         &mut self,
         msg: Msg,
-        op: MemAtomicOp,
+        op: MemOp,
         map: &AddressMap,
         out: &mut Outbox,
     ) -> Result<(), ProtocolError> {
@@ -615,7 +613,7 @@ impl HomeNode {
                 "INV lines execute atomics in caches unless home_atomics is set"
             );
             debug_assert!(
-                matches!(op, MemAtomicOp::Phi { .. } | MemAtomicOp::Cas { .. }),
+                matches!(op, MemOp::FetchPhi { .. } | MemOp::Cas { .. }),
                 "home-node atomics are Φ/CAS only"
             );
             // A dirty copy holds the current data: recall it first so
@@ -631,47 +629,7 @@ impl HomeNode {
         }
         let word = self.mem_line(line).word(addr);
         let (result, wrote) = match op {
-            MemAtomicOp::Load => (
-                OpResult::Loaded {
-                    value: word,
-                    serial: None,
-                    reserved: false,
-                },
-                false,
-            ),
-            MemAtomicOp::Store { value } => {
-                self.mem_line(line).set_word(addr, value);
-                self.resv.on_write(line, cfg.llsc);
-                (OpResult::Stored, true)
-            }
-            MemAtomicOp::Phi { op } => {
-                let new = op.apply(word);
-                self.mem_line(line).set_word(addr, new);
-                self.resv.on_write(line, cfg.llsc);
-                (OpResult::Fetched { old: word }, true)
-            }
-            MemAtomicOp::Cas { expected, new } => {
-                if word == expected {
-                    self.mem_line(line).set_word(addr, new);
-                    self.resv.on_write(line, cfg.llsc);
-                    (
-                        OpResult::CasDone {
-                            success: true,
-                            observed: word,
-                        },
-                        true,
-                    )
-                } else {
-                    (
-                        OpResult::CasDone {
-                            success: false,
-                            observed: word,
-                        },
-                        false,
-                    )
-                }
-            }
-            MemAtomicOp::Ll => {
+            MemOp::LoadLinked { .. } => {
                 let grant = self
                     .resv
                     .load_linked(line, msg.proc, cfg.llsc)
@@ -685,7 +643,7 @@ impl HomeNode {
                     false,
                 )
             }
-            MemAtomicOp::Sc { value, serial } => {
+            MemOp::StoreConditional { value, serial, .. } => {
                 let ok = self
                     .resv
                     .check_sc(line, msg.proc, serial, cfg.llsc)
@@ -694,6 +652,14 @@ impl HomeNode {
                     self.mem_line(line).set_word(addr, value);
                 }
                 (OpResult::ScDone { success: ok }, ok)
+            }
+            _ => {
+                let (result, write) = op.apply(word);
+                if let Some(value) = write {
+                    self.mem_line(line).set_word(addr, value);
+                    self.resv.on_write(line, cfg.llsc);
+                }
+                (result, write.is_some())
             }
         };
 
@@ -706,7 +672,7 @@ impl HomeNode {
                     _ => NodeSet::new(),
                 };
                 // LL allocates a shared copy (the data comes back anyway).
-                if matches!(op, MemAtomicOp::Ll) {
+                if matches!(op, MemOp::LoadLinked { .. }) {
                     sharers.insert(msg.src);
                 }
                 let requester_cached = sharers.contains(msg.src);
@@ -1533,7 +1499,8 @@ mod tests {
             req(
                 R1,
                 MsgKind::AtomicMem {
-                    op: MemAtomicOp::Phi {
+                    op: MemOp::FetchPhi {
+                        addr: A,
                         op: crate::types::PhiOp::Add(5),
                     },
                 },
@@ -1585,7 +1552,7 @@ mod tests {
             req(
                 R1,
                 MsgKind::AtomicMem {
-                    op: MemAtomicOp::Store { value: 8 },
+                    op: MemOp::Store { addr: A, value: 8 },
                 },
             ),
             &m,
@@ -1632,7 +1599,8 @@ mod tests {
             req(
                 R1,
                 MsgKind::AtomicMem {
-                    op: MemAtomicOp::Cas {
+                    op: MemOp::Cas {
+                        addr: A,
                         expected: 9,
                         new: 1,
                     },
@@ -1762,7 +1730,8 @@ mod tests {
             req(
                 R1,
                 MsgKind::AtomicMem {
-                    op: MemAtomicOp::Phi {
+                    op: MemOp::FetchPhi {
+                        addr: A,
                         op: crate::types::PhiOp::Add(2),
                     },
                 },
@@ -1796,7 +1765,8 @@ mod tests {
             req(
                 R1,
                 MsgKind::AtomicMem {
-                    op: MemAtomicOp::Phi {
+                    op: MemOp::FetchPhi {
+                        addr: A,
                         op: crate::types::PhiOp::Add(1),
                     },
                 },
@@ -1832,7 +1802,8 @@ mod tests {
             req(
                 R1,
                 MsgKind::AtomicMem {
-                    op: MemAtomicOp::Cas {
+                    op: MemOp::Cas {
+                        addr: A,
                         expected: 99,
                         new: 1,
                     },
@@ -1867,7 +1838,8 @@ mod tests {
             req(
                 R1,
                 MsgKind::AtomicMem {
-                    op: MemAtomicOp::Phi {
+                    op: MemOp::FetchPhi {
+                        addr: A,
                         op: crate::types::PhiOp::Add(1),
                     },
                 },
@@ -1917,7 +1889,7 @@ mod tests {
             req(
                 R1,
                 MsgKind::AtomicMem {
-                    op: MemAtomicOp::Ll,
+                    op: MemOp::LoadLinked { addr: A },
                 },
             ),
             &m,
@@ -1938,7 +1910,8 @@ mod tests {
             req(
                 R1,
                 MsgKind::AtomicMem {
-                    op: MemAtomicOp::Sc {
+                    op: MemOp::StoreConditional {
+                        addr: A,
                         value: 3,
                         serial: None,
                     },
@@ -1963,7 +1936,8 @@ mod tests {
             req(
                 R1,
                 MsgKind::AtomicMem {
-                    op: MemAtomicOp::Sc {
+                    op: MemOp::StoreConditional {
+                        addr: A,
                         value: 4,
                         serial: None,
                     },

@@ -9,6 +9,9 @@
 //! oracle the machine runs at the end of a run:
 //!
 //! * **single writer** — at most one cache holds a line `Exclusive`;
+//! * **directory agreement** ([`check_line`] only) — a cache that holds
+//!   a line `Exclusive` is the directory's `Dirty` owner, or the
+//!   requester of the intervention in flight on that line;
 //! * **reservation residency** — a cache-side LL reservation implies the
 //!   reserved line is resident in that cache;
 //! * **UNC discipline** — lines configured `Unc` are never cached;
@@ -119,6 +122,19 @@ pub fn check_line(
             detail: "more than one cache holds the line exclusively".to_string(),
         });
     }
+    let home_node = line.home(homes.len() as u32);
+    let home = &homes[home_node.index()];
+    for &owner in &owners {
+        let dir = home.dir_state(line);
+        if dir.owner() != Some(owner) && home.busy_requester(line) != Some(owner) {
+            violations.push(InvariantViolation {
+                invariant: "directory-agreement",
+                line: Some(line),
+                nodes: vec![owner],
+                detail: format!("cache holds the line exclusively; the directory says {dir:?}"),
+            });
+        }
+    }
     match map.config_for_line(line).policy {
         SyncPolicy::Unc if !holders.is_empty() => {
             violations.push(InvariantViolation {
@@ -139,14 +155,13 @@ pub fn check_line(
         _ => {}
     }
 
-    let home = &homes[line.home(homes.len() as u32).index()];
     let resv = home.reservations();
     let (used, entries, capacity) = (resv.pool_used(), resv.pool_entries(), resv.pool_capacity());
     if entries != used || used > capacity {
         violations.push(InvariantViolation {
             invariant: "linked-pool-accounting",
             line: Some(line),
-            nodes: vec![line.home(homes.len() as u32)],
+            nodes: vec![home_node],
             detail: format!("pool counter {used} vs {entries} list entries (capacity {capacity})"),
         });
     }

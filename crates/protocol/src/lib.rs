@@ -78,7 +78,7 @@ pub use directory::{DirEntry, DirState};
 pub use error::{ProtocolError, ProtocolErrorKind};
 pub use home::{HomeNode, Outbox};
 pub use invariant::{check_invariants, check_line, InvariantViolation};
-pub use msg::{MemAtomicOp, Msg, MsgKind};
+pub use msg::{Msg, MsgKind};
 pub use nodeset::NodeSet;
 pub use reservation::{CacheReservation, LlGrant, ReservationStore};
 pub use types::{CasVariant, LlscScheme, MemOp, OpResult, PhiOp, SyncConfig, SyncPolicy, Value};

@@ -7,87 +7,9 @@
 //! store to a remote exclusive line" of Table 1.
 
 use crate::data::LineData;
-use crate::types::{CasVariant, OpResult, PhiOp, Value};
+use crate::types::{CasVariant, MemOp, OpResult, Value};
 use dsm_sim::{Addr, LineAddr, NodeId, ProcId};
 use dsm_stats::MsgClass;
-
-/// An operation executed at the memory module (UNC and UPD policies).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MemAtomicOp {
-    /// Read a word (UNC loads).
-    Load,
-    /// Write a word.
-    Store {
-        /// Value to store.
-        value: Value,
-    },
-    /// Fetch-and-Φ.
-    Phi {
-        /// The Φ function.
-        op: PhiOp,
-    },
-    /// Compare-and-swap.
-    Cas {
-        /// Expected value.
-        expected: Value,
-        /// Replacement value.
-        new: Value,
-    },
-    /// Load-linked: read and set a reservation.
-    Ll,
-    /// Store-conditional: check the reservation, then write.
-    Sc {
-        /// Value to store on success.
-        value: Value,
-        /// Expected serial number (serial-number scheme only).
-        serial: Option<u64>,
-    },
-}
-
-impl MemAtomicOp {
-    /// Whether a *successful* execution writes memory.
-    pub fn writes(self) -> bool {
-        matches!(
-            self,
-            MemAtomicOp::Store { .. }
-                | MemAtomicOp::Phi { .. }
-                | MemAtomicOp::Cas { .. }
-                | MemAtomicOp::Sc { .. }
-        )
-    }
-
-    /// Folds the operation into a state digest.
-    pub fn digest(self, h: &mut dsm_sim::StableHasher) {
-        match self {
-            MemAtomicOp::Load => h.write_u8(0),
-            MemAtomicOp::Store { value } => {
-                h.write_u8(1);
-                h.write_u64(value);
-            }
-            MemAtomicOp::Phi { op } => {
-                h.write_u8(2);
-                op.digest(h);
-            }
-            MemAtomicOp::Cas { expected, new } => {
-                h.write_u8(3);
-                h.write_u64(expected);
-                h.write_u64(new);
-            }
-            MemAtomicOp::Ll => h.write_u8(4),
-            MemAtomicOp::Sc { value, serial } => {
-                h.write_u8(5);
-                h.write_u64(value);
-                match serial {
-                    Some(s) => {
-                        h.write_u8(1);
-                        h.write_u64(s);
-                    }
-                    None => h.write_u8(0),
-                }
-            }
-        }
-    }
-}
 
 /// The kind (and payload) of a coherence message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -102,10 +24,12 @@ pub enum MsgKind {
         /// Requester currently holds a shared copy.
         from_shared: bool,
     },
-    /// Execute an operation at the memory module (UNC/UPD policies).
+    /// Execute the processor's operation at the memory module (UNC
+    /// and UPD policies, and home-node atomics under INV). The home
+    /// treats `LoadExclusive` as `Load`; `DropCopy` is never sent.
     AtomicMem {
-        /// The operation to execute.
-        op: MemAtomicOp,
+        /// The operation to execute, as the processor issued it.
+        op: MemOp,
     },
     /// INVd/INVs compare-and-swap: compare at home (or owner).
     CasHome {
@@ -278,10 +202,13 @@ impl MsgKind {
             | MsgKind::UpdAck => 0,
             MsgKind::CasHome { .. } | MsgKind::FwdCas { .. } => 16,
             MsgKind::AtomicMem { op } => match op {
-                MemAtomicOp::Load | MemAtomicOp::Ll => 0,
-                MemAtomicOp::Store { .. } | MemAtomicOp::Phi { .. } => 8,
-                MemAtomicOp::Cas { .. } => 16,
-                MemAtomicOp::Sc { serial, .. } => {
+                MemOp::Load { .. }
+                | MemOp::LoadExclusive { .. }
+                | MemOp::LoadLinked { .. }
+                | MemOp::DropCopy { .. } => 0,
+                MemOp::Store { .. } | MemOp::FetchPhi { .. } => 8,
+                MemOp::Cas { .. } => 16,
+                MemOp::StoreConditional { serial, .. } => {
                     // The serial-number scheme widens the message (§3.1).
                     if serial.is_some() {
                         16
@@ -644,14 +571,17 @@ mod tests {
 
     #[test]
     fn serial_number_scheme_widens_sc_messages() {
+        let a = Addr::new(0);
         let plain = MsgKind::AtomicMem {
-            op: MemAtomicOp::Sc {
+            op: MemOp::StoreConditional {
+                addr: a,
                 value: 1,
                 serial: None,
             },
         };
         let serial = MsgKind::AtomicMem {
-            op: MemAtomicOp::Sc {
+            op: MemOp::StoreConditional {
+                addr: a,
                 value: 1,
                 serial: Some(7),
             },
@@ -724,13 +654,40 @@ mod tests {
 
     #[test]
     fn mem_atomic_write_classification() {
-        assert!(MemAtomicOp::Store { value: 1 }.writes());
-        assert!(MemAtomicOp::Sc {
+        let a = Addr::new(0);
+        assert!(MemOp::Store { addr: a, value: 1 }.is_write());
+        assert!(MemOp::StoreConditional {
+            addr: a,
             value: 1,
             serial: None
         }
-        .writes());
-        assert!(!MemAtomicOp::Load.writes());
-        assert!(!MemAtomicOp::Ll.writes());
+        .is_write());
+        assert!(!MemOp::Load { addr: a }.is_write());
+        assert!(!MemOp::LoadLinked { addr: a }.is_write());
+    }
+
+    #[test]
+    fn atomic_mem_payload_is_the_operands() {
+        let a = Addr::new(0);
+        let bytes = |op| MsgKind::AtomicMem { op }.payload_bytes(32);
+        assert_eq!(bytes(MemOp::Load { addr: a }), 0);
+        assert_eq!(bytes(MemOp::LoadExclusive { addr: a }), 0);
+        assert_eq!(bytes(MemOp::LoadLinked { addr: a }), 0);
+        assert_eq!(bytes(MemOp::Store { addr: a, value: 1 }), 8);
+        let phi = crate::types::PhiOp::Add(1);
+        assert_eq!(bytes(MemOp::FetchPhi { addr: a, op: phi }), 8);
+        let cas = MemOp::Cas {
+            addr: a,
+            expected: 0,
+            new: 1,
+        };
+        assert_eq!(bytes(cas), 16);
+        let sc = |serial| MemOp::StoreConditional {
+            addr: a,
+            value: 1,
+            serial,
+        };
+        assert_eq!(bytes(sc(None)), 8);
+        assert_eq!(bytes(sc(Some(3))), 16);
     }
 }

@@ -235,6 +235,47 @@ impl MemOp {
         )
     }
 
+    /// What this operation does to the word it targets, given the
+    /// word's current value: the result for the processor and the value
+    /// to write, if any. The one definition of a Load, LoadExclusive,
+    /// Store, fetch-and-Φ and CAS, shared by the memory module, the
+    /// cache controller and sequential test memories. A `drop_copy`
+    /// leaves the word alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics on `load_linked` and `store_conditional`, whose effect
+    /// depends on a reservation.
+    #[inline]
+    pub fn apply(self, word: Value) -> (OpResult, Option<Value>) {
+        match self {
+            MemOp::Load { .. } | MemOp::LoadExclusive { .. } => (
+                OpResult::Loaded {
+                    value: word,
+                    serial: None,
+                    reserved: false,
+                },
+                None,
+            ),
+            MemOp::Store { value, .. } => (OpResult::Stored, Some(value)),
+            MemOp::DropCopy { .. } => (OpResult::Stored, None),
+            MemOp::FetchPhi { op, .. } => (OpResult::Fetched { old: word }, Some(op.apply(word))),
+            MemOp::Cas { expected, new, .. } => {
+                let success = word == expected;
+                (
+                    OpResult::CasDone {
+                        success,
+                        observed: word,
+                    },
+                    success.then_some(new),
+                )
+            }
+            MemOp::LoadLinked { .. } | MemOp::StoreConditional { .. } => {
+                panic!("{} has no reservation-free effect on a word", self.label())
+            }
+        }
+    }
+
     /// A short static name for this operation, used as the slice label
     /// in trace output.
     pub fn label(self) -> &'static str {
@@ -423,6 +464,70 @@ mod tests {
         assert_eq!(PhiOp::TestAndSet.apply(0), 1);
         assert_eq!(PhiOp::TestAndSet.apply(1), 1);
         assert_eq!(PhiOp::And(0b110).apply(0b011), 0b010);
+    }
+
+    #[test]
+    fn memop_apply_table() {
+        let a = Addr::new(64);
+        let loaded = |value| OpResult::Loaded {
+            value,
+            serial: None,
+            reserved: false,
+        };
+        let cas = |expected, new| MemOp::Cas {
+            addr: a,
+            expected,
+            new,
+        };
+        let done = |success, observed| OpResult::CasDone { success, observed };
+        let table: [(MemOp, Value, (OpResult, Option<Value>)); 9] = [
+            (MemOp::Load { addr: a }, 7, (loaded(7), None)),
+            (MemOp::DropCopy { addr: a }, 7, (OpResult::Stored, None)),
+            (MemOp::LoadExclusive { addr: a }, 7, (loaded(7), None)),
+            (
+                MemOp::Store { addr: a, value: 9 },
+                7,
+                (OpResult::Stored, Some(9)),
+            ),
+            (
+                MemOp::FetchPhi {
+                    addr: a,
+                    op: PhiOp::Add(3),
+                },
+                7,
+                (OpResult::Fetched { old: 7 }, Some(10)),
+            ),
+            (
+                MemOp::FetchPhi {
+                    addr: a,
+                    op: PhiOp::Add(1),
+                },
+                u64::MAX,
+                (OpResult::Fetched { old: u64::MAX }, Some(0)),
+            ),
+            (
+                MemOp::FetchPhi {
+                    addr: a,
+                    op: PhiOp::TestAndSet,
+                },
+                0,
+                (OpResult::Fetched { old: 0 }, Some(1)),
+            ),
+            (cas(7, 8), 7, (done(true, 7), Some(8))),
+            (cas(6, 8), 7, (done(false, 7), None)),
+        ];
+        for (op, word, want) in table {
+            assert_eq!(op.apply(word), want, "{op:?} on {word}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "LoadLinked has no reservation-free effect")]
+    fn memop_apply_refuses_reservation_ops() {
+        MemOp::LoadLinked {
+            addr: Addr::new(64),
+        }
+        .apply(0);
     }
 
     #[test]

@@ -21,22 +21,16 @@ use dsm_sim::{Addr, SimRng};
 ///
 /// ```
 /// use dsm_sim::{Addr, SimRng};
-/// use dsm_sync::{drive_sync, LockFreeIncr, PrimChoice, Primitive};
-/// use dsm_protocol::{MemOp, OpResult, PhiOp};
+/// use dsm_sync::{drive_sync, LockFreeIncr, PrimChoice, Primitive, SeqMem};
 ///
 /// let mut rng = SimRng::new(1);
-/// let mut incr = LockFreeIncr::new(Addr::new(32), PrimChoice::plain(Primitive::FetchPhi));
-/// let mut value = 10u64;
-/// let ops = drive_sync(&mut incr, &mut rng, 100, |op| match op {
-///     MemOp::FetchPhi { op: PhiOp::Add(k), .. } => {
-///         let old = value;
-///         value += k;
-///         OpResult::Fetched { old }
-///     }
-///     other => panic!("unexpected op {other:?}"),
-/// });
+/// let counter = Addr::new(32);
+/// let mut incr = LockFreeIncr::new(counter, PrimChoice::plain(Primitive::FetchPhi));
+/// let mut mem = SeqMem::default();
+/// mem.set(counter, 10);
+/// let ops = drive_sync(&mut incr, &mut rng, 100, |op| mem.eval(op));
 /// assert_eq!(ops, 1);
-/// assert_eq!(value, 11);
+/// assert_eq!(mem.get(counter), 11);
 /// ```
 #[derive(Debug, Clone)]
 pub struct LockFreeIncr {
@@ -199,138 +193,81 @@ impl LockFreeIncr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::submachine::drive_sync;
+    use crate::submachine::{drive_sync, SeqMem};
 
-    /// A tiny sequential memory for driving sub-machines.
-    pub(crate) struct TestMem {
-        pub value: u64,
-        pub reserved: bool,
-        pub fail_first_n: u64,
+    const COUNTER: Addr = Addr::new(32);
+
+    /// A counter word that another processor increments just before
+    /// each of the first `fail_first_n` CAS or SC attempts.
+    struct TestMem {
+        mem: SeqMem,
+        fail_first_n: u64,
     }
 
     impl TestMem {
-        pub(crate) fn eval(&mut self, op: MemOp) -> OpResult {
-            match op {
-                MemOp::Load { .. } | MemOp::LoadExclusive { .. } => OpResult::Loaded {
-                    value: self.value,
-                    serial: None,
-                    reserved: false,
-                },
-                MemOp::LoadLinked { .. } => {
-                    self.reserved = true;
-                    OpResult::Loaded {
-                        value: self.value,
-                        serial: None,
-                        reserved: true,
-                    }
-                }
-                MemOp::Store { value, .. } => {
-                    self.value = value;
-                    OpResult::Stored
-                }
-                MemOp::FetchPhi { op, .. } => {
-                    let old = self.value;
-                    self.value = op.apply(old);
-                    OpResult::Fetched { old }
-                }
-                MemOp::Cas { expected, new, .. } => {
-                    let observed = self.value;
-                    if self.fail_first_n > 0 {
-                        self.fail_first_n -= 1;
-                        // Simulate interference: someone else bumped it.
-                        self.value += 1;
-                        OpResult::CasDone {
-                            success: false,
-                            observed,
-                        }
-                    } else if observed == expected {
-                        self.value = new;
-                        OpResult::CasDone {
-                            success: true,
-                            observed,
-                        }
-                    } else {
-                        OpResult::CasDone {
-                            success: false,
-                            observed,
-                        }
-                    }
-                }
-                MemOp::StoreConditional { value, .. } => {
-                    if self.fail_first_n > 0 {
-                        self.fail_first_n -= 1;
-                        self.reserved = false;
-                    }
-                    if self.reserved {
-                        self.value = value;
-                        self.reserved = false;
-                        OpResult::ScDone { success: true }
-                    } else {
-                        OpResult::ScDone { success: false }
-                    }
-                }
-                MemOp::DropCopy { .. } => OpResult::Stored,
+        fn new(value: u64, fail_first_n: u64) -> Self {
+            let mut mem = SeqMem::default();
+            mem.set(COUNTER, value);
+            TestMem { mem, fail_first_n }
+        }
+
+        fn value(&self) -> u64 {
+            self.mem.get(COUNTER)
+        }
+
+        fn eval(&mut self, op: MemOp) -> OpResult {
+            if matches!(op, MemOp::Cas { .. } | MemOp::StoreConditional { .. })
+                && self.fail_first_n > 0
+            {
+                self.fail_first_n -= 1;
+                self.mem.set(COUNTER, self.value() + 1);
             }
+            self.mem.eval(op)
         }
     }
 
     #[test]
     fn fap_increment_is_one_op() {
-        let mut mem = TestMem {
-            value: 5,
-            reserved: false,
-            fail_first_n: 0,
-        };
+        let mut mem = TestMem::new(5, 0);
         let mut rng = SimRng::new(1);
-        let mut incr = LockFreeIncr::new(Addr::new(32), PrimChoice::plain(Primitive::FetchPhi));
+        let mut incr = LockFreeIncr::new(COUNTER, PrimChoice::plain(Primitive::FetchPhi));
         let ops = drive_sync(&mut incr, &mut rng, 10, |op| mem.eval(op));
         assert_eq!(ops, 1);
-        assert_eq!(mem.value, 6);
+        assert_eq!(mem.value(), 6);
         assert_eq!(incr.observed(), Some(5));
     }
 
     #[test]
     fn cas_increment_retries_until_success() {
-        let mut mem = TestMem {
-            value: 0,
-            reserved: false,
-            fail_first_n: 3,
-        };
+        let mut mem = TestMem::new(0, 3);
         let mut rng = SimRng::new(1);
-        let mut incr = LockFreeIncr::new(Addr::new(32), PrimChoice::plain(Primitive::Cas));
+        let mut incr = LockFreeIncr::new(COUNTER, PrimChoice::plain(Primitive::Cas));
         let ops = drive_sync(&mut incr, &mut rng, 100, |op| mem.eval(op));
-        // 1 load + 5 CAS attempts: 3 forced failures (each bumping the
-        // value as interference), one stale-expected failure, 1 success.
-        assert_eq!(ops, 6);
-        assert_eq!(incr.retries, 4);
-        assert_eq!(mem.value, 4, "three interfering bumps plus our increment");
+        // 1 load + 4 CAS attempts: each of the first 3 fails on an
+        // interfering bump and retries with the value it observed.
+        assert_eq!(ops, 5);
+        assert_eq!(incr.retries, 3);
+        assert_eq!(mem.value(), 4, "three interfering bumps plus our increment");
     }
 
     #[test]
     fn llsc_increment_retries_with_fresh_ll() {
-        let mut mem = TestMem {
-            value: 7,
-            reserved: false,
-            fail_first_n: 2,
-        };
+        let mut mem = TestMem::new(7, 2);
         let mut rng = SimRng::new(1);
-        let mut incr = LockFreeIncr::new(Addr::new(32), PrimChoice::plain(Primitive::Llsc));
+        let mut incr = LockFreeIncr::new(COUNTER, PrimChoice::plain(Primitive::Llsc));
         let ops = drive_sync(&mut incr, &mut rng, 100, |op| mem.eval(op));
-        // (LL + SC-fail) x2 then LL + SC-success.
+        // (LL + SC-fail) x2 then LL + SC-success; each failure is an
+        // interfering bump that clears the reservation.
         assert_eq!(ops, 6);
-        assert_eq!(mem.value, 8);
+        assert_eq!(mem.value(), 10, "two interfering bumps plus our increment");
     }
 
     #[test]
     fn drop_copy_appends_a_drop() {
-        let mut mem = TestMem {
-            value: 0,
-            reserved: false,
-            fail_first_n: 0,
-        };
+        let mut mem = TestMem::new(0, 0);
         let mut rng = SimRng::new(1);
         let mut incr = LockFreeIncr::new(
-            Addr::new(32),
+            COUNTER,
             PrimChoice::plain(Primitive::FetchPhi).with_drop_copy(),
         );
         let mut saw_drop = false;
@@ -345,14 +282,10 @@ mod tests {
 
     #[test]
     fn load_exclusive_is_used_when_requested() {
-        let mut mem = TestMem {
-            value: 0,
-            reserved: false,
-            fail_first_n: 0,
-        };
+        let mut mem = TestMem::new(0, 0);
         let mut rng = SimRng::new(1);
         let mut incr = LockFreeIncr::new(
-            Addr::new(32),
+            COUNTER,
             PrimChoice::plain(Primitive::Cas).with_load_exclusive(),
         );
         let mut saw_lx = false;
@@ -367,16 +300,12 @@ mod tests {
 
     #[test]
     fn reset_allows_reuse() {
-        let mut mem = TestMem {
-            value: 0,
-            reserved: false,
-            fail_first_n: 0,
-        };
+        let mut mem = TestMem::new(0, 0);
         let mut rng = SimRng::new(1);
-        let mut incr = LockFreeIncr::new(Addr::new(32), PrimChoice::plain(Primitive::FetchPhi));
+        let mut incr = LockFreeIncr::new(COUNTER, PrimChoice::plain(Primitive::FetchPhi));
         drive_sync(&mut incr, &mut rng, 10, |op| mem.eval(op));
         incr.reset();
         drive_sync(&mut incr, &mut rng, 10, |op| mem.eval(op));
-        assert_eq!(mem.value, 2);
+        assert_eq!(mem.value(), 2);
     }
 }

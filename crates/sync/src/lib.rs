@@ -51,5 +51,5 @@ pub use mcs::{McsAcquire, McsLock, McsQnode, McsRelease};
 pub use primitive::{PrimChoice, Primitive};
 pub use rwlock::{ReadAcquire, ReadRelease, WriteAcquire, WriteRelease};
 pub use stack::{StackPop, StackPrim, StackPush};
-pub use submachine::{drive_sync, Step, SubMachine};
+pub use submachine::{drive_sync, SeqMem, Step, SubMachine};
 pub use tts::{TtsAcquire, TtsRelease};

@@ -534,8 +534,7 @@ impl SubMachine for ListContains {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lockfree::testmem::Mem;
-    use crate::submachine::drive_sync;
+    use crate::submachine::{drive_sync, SeqMem};
 
     const HEAD: Addr = Addr::new(0x40);
 
@@ -547,21 +546,21 @@ mod tests {
         Addr::new(0x1000 + i * 64)
     }
 
-    fn insert(mem: &mut Mem, i: u64, key: u64, prim: LinkPrim) -> bool {
+    fn insert(mem: &mut SeqMem, i: u64, key: u64, prim: LinkPrim) -> bool {
         let mut rng = SimRng::new(1);
         let mut m = ListInsert::new(list(), node(i), key, prim);
         drive_sync(&mut m, &mut rng, 2000, |op| mem.eval(op));
         m.inserted().expect("finished")
     }
 
-    fn remove(mem: &mut Mem, key: u64, prim: LinkPrim) -> bool {
+    fn remove(mem: &mut SeqMem, key: u64, prim: LinkPrim) -> bool {
         let mut rng = SimRng::new(1);
         let mut m = ListRemove::new(list(), key, prim);
         drive_sync(&mut m, &mut rng, 2000, |op| mem.eval(op));
         m.removed().expect("finished")
     }
 
-    fn contains(mem: &mut Mem, key: u64, prim: LinkPrim) -> bool {
+    fn contains(mem: &mut SeqMem, key: u64, prim: LinkPrim) -> bool {
         let mut rng = SimRng::new(1);
         let mut m = ListContains::new(list(), key, prim);
         drive_sync(&mut m, &mut rng, 2000, |op| mem.eval(op));
@@ -569,12 +568,12 @@ mod tests {
     }
 
     /// Walks the physical chain: (node, key, marked) triples.
-    fn chain(mem: &Mem, prim: LinkPrim) -> Vec<(u64, u64, bool)> {
+    fn chain(mem: &SeqMem, prim: LinkPrim) -> Vec<(u64, u64, bool)> {
         let mut out = Vec::new();
-        let mut cur = decode(prim, mem.get(HEAD.as_u64()));
+        let mut cur = decode(prim, mem.get(HEAD));
         while cur != 0 {
-            let cw = decode(prim, mem.get(cur));
-            out.push((cur, mem.get(cur + 8), is_marked(cw)));
+            let cw = decode(prim, mem.get(Addr::new(cur)));
+            out.push((cur, mem.get(Addr::new(cur + 8)), is_marked(cw)));
             cur = clear_mark(cw);
             assert!(out.len() < 100, "cycle in chain");
         }
@@ -582,7 +581,7 @@ mod tests {
     }
 
     fn basic_set_ops(prim: LinkPrim) {
-        let mut mem = Mem::default();
+        let mut mem = SeqMem::default();
         assert!(!contains(&mut mem, 10, prim), "{prim:?}: starts empty");
         assert!(!remove(&mut mem, 10, prim));
         // Insert out of order; chain must come out sorted.
@@ -626,7 +625,7 @@ mod tests {
     /// but linked — then checks queries skip it and a later insert's
     /// search snips it.
     fn interrupted_after_mark(prim: LinkPrim) {
-        let mut mem = Mem::default();
+        let mut mem = SeqMem::default();
         let mut rng = SimRng::new(1);
         assert!(insert(&mut mem, 0, 10, prim));
         assert!(insert(&mut mem, 1, 20, prim));
@@ -684,7 +683,7 @@ mod tests {
 
     #[test]
     fn insert_retries_when_prev_gains_a_node() {
-        let mut mem = Mem::default();
+        let mut mem = SeqMem::default();
         let mut rng = SimRng::new(1);
         assert!(insert(&mut mem, 0, 10, LinkPrim::CasPlain));
         let mut m = ListInsert::new(list(), node(1), 30, LinkPrim::CasPlain);
@@ -718,7 +717,7 @@ mod tests {
     fn concurrent_removes_delete_once() {
         // Two removes of the same key race; exactly one reports true.
         for stop_rival_first in [false, true] {
-            let mut mem = Mem::default();
+            let mut mem = SeqMem::default();
             let mut rng = SimRng::new(1);
             assert!(insert(&mut mem, 0, 10, LinkPrim::EmulLlsc));
             let mut m = ListRemove::new(list(), 10, LinkPrim::EmulLlsc);

@@ -133,8 +133,7 @@ impl SubMachine for MapContains {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lockfree::testmem::Mem;
-    use crate::submachine::drive_sync;
+    use crate::submachine::{drive_sync, SeqMem};
 
     fn map(buckets: u64) -> BucketMap {
         BucketMap {
@@ -146,21 +145,21 @@ mod tests {
         Addr::new(0x10000 + i * 64)
     }
 
-    fn insert(mem: &mut Mem, m: &BucketMap, i: u64, key: u64, prim: LinkPrim) -> bool {
+    fn insert(mem: &mut SeqMem, m: &BucketMap, i: u64, key: u64, prim: LinkPrim) -> bool {
         let mut rng = SimRng::new(1);
         let mut op = MapInsert::new(m, node(i), key, prim);
         drive_sync(&mut op, &mut rng, 2000, |o| mem.eval(o));
         op.inserted().expect("finished")
     }
 
-    fn remove(mem: &mut Mem, m: &BucketMap, key: u64, prim: LinkPrim) -> bool {
+    fn remove(mem: &mut SeqMem, m: &BucketMap, key: u64, prim: LinkPrim) -> bool {
         let mut rng = SimRng::new(1);
         let mut op = MapRemove::new(m, key, prim);
         drive_sync(&mut op, &mut rng, 2000, |o| mem.eval(o));
         op.removed().expect("finished")
     }
 
-    fn contains(mem: &mut Mem, m: &BucketMap, key: u64, prim: LinkPrim) -> bool {
+    fn contains(mem: &mut SeqMem, m: &BucketMap, key: u64, prim: LinkPrim) -> bool {
         let mut rng = SimRng::new(1);
         let mut op = MapContains::new(m, key, prim);
         drive_sync(&mut op, &mut rng, 2000, |o| mem.eval(o));
@@ -176,7 +175,7 @@ mod tests {
     }
 
     fn map_ops(prim: LinkPrim) {
-        let mut mem = Mem::default();
+        let mut mem = SeqMem::default();
         let m = map(4);
         // Keys 0..16 spread across 4 buckets (4 each).
         for k in 0..16u64 {
@@ -196,11 +195,11 @@ mod tests {
         }
         // Per-bucket chains stay sorted.
         for b in 0..4u64 {
-            let mut cur = super::super::decode(prim, mem.get(m.buckets[b as usize].as_u64()));
+            let mut cur = super::super::decode(prim, mem.get(m.buckets[b as usize]));
             let mut prev_key = None;
             while cur != 0 {
-                let cw = super::super::decode(prim, mem.get(cur));
-                let key = mem.get(cur + 8);
+                let cw = super::super::decode(prim, mem.get(Addr::new(cur)));
+                let key = mem.get(Addr::new(cur + 8));
                 assert_eq!(key % 4, b, "{prim:?}: key {key} in wrong bucket");
                 if let Some(p) = prev_key {
                     assert!(key > p, "{prim:?}: bucket {b} unsorted");

@@ -271,82 +271,9 @@ impl SubMachine for PrivInit {
 }
 
 #[cfg(test)]
-pub(crate) mod testmem {
-    //! A synchronous test memory for driving lock-free sub-machines
-    //! outside the full simulator, mirroring the reservation behavior
-    //! the machine provides: any write to the reserved address clears
-    //! the (single) reservation.
-
-    use dsm_protocol::{MemOp, OpResult};
-    use std::collections::HashMap;
-
-    #[derive(Default)]
-    pub struct Mem {
-        pub words: HashMap<u64, u64>,
-        pub reserved: Option<u64>,
-    }
-
-    impl Mem {
-        pub fn get(&self, a: u64) -> u64 {
-            self.words.get(&a).copied().unwrap_or(0)
-        }
-
-        pub fn eval(&mut self, op: MemOp) -> OpResult {
-            match op {
-                MemOp::Load { addr } => OpResult::Loaded {
-                    value: self.get(addr.as_u64()),
-                    serial: None,
-                    reserved: false,
-                },
-                MemOp::LoadLinked { addr } => {
-                    self.reserved = Some(addr.as_u64());
-                    OpResult::Loaded {
-                        value: self.get(addr.as_u64()),
-                        serial: None,
-                        reserved: true,
-                    }
-                }
-                MemOp::Store { addr, value } => {
-                    if self.reserved == Some(addr.as_u64()) {
-                        self.reserved = None;
-                    }
-                    self.words.insert(addr.as_u64(), value);
-                    OpResult::Stored
-                }
-                MemOp::Cas {
-                    addr,
-                    expected,
-                    new,
-                } => {
-                    let observed = self.get(addr.as_u64());
-                    let success = observed == expected;
-                    if success {
-                        if self.reserved == Some(addr.as_u64()) {
-                            self.reserved = None;
-                        }
-                        self.words.insert(addr.as_u64(), new);
-                    }
-                    OpResult::CasDone { success, observed }
-                }
-                MemOp::StoreConditional { addr, value, .. } => {
-                    if self.reserved == Some(addr.as_u64()) {
-                        self.reserved = None;
-                        self.words.insert(addr.as_u64(), value);
-                        OpResult::ScDone { success: true }
-                    } else {
-                        OpResult::ScDone { success: false }
-                    }
-                }
-                other => panic!("unexpected {other:?}"),
-            }
-        }
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
-    use crate::submachine::drive_sync;
+    use crate::submachine::{drive_sync, SeqMem};
 
     #[test]
     fn tagged_words_round_trip() {
@@ -399,28 +326,28 @@ mod tests {
 
     #[test]
     fn priv_init_bumps_emul_tag() {
-        let mut mem = testmem::Mem::default();
+        let mut mem = SeqMem::default();
         let mut rng = SimRng::new(1);
         let a = Addr::new(0x40);
-        mem.words.insert(a.as_u64(), pack_tagged(4, 0x80));
+        mem.set(a, pack_tagged(4, 0x80));
         let mut init = PrivInit::new(a, 0xC0, LinkPrim::EmulLlsc);
         let ops = drive_sync(&mut init, &mut rng, 10, |op| mem.eval(op));
         assert_eq!(ops, 2, "emulated init is load + store");
-        assert_eq!(mem.get(a.as_u64()), pack_tagged(5, 0xC0));
+        assert_eq!(mem.get(a), pack_tagged(5, 0xC0));
         // A token captured before the private rewrite can never match.
-        assert_ne!(tagged_tag(mem.get(a.as_u64())), 4);
+        assert_ne!(tagged_tag(mem.get(a)), 4);
     }
 
     #[test]
     fn priv_init_is_one_store_for_native_prims() {
         for prim in [LinkPrim::Llsc, LinkPrim::CasPlain] {
-            let mut mem = testmem::Mem::default();
+            let mut mem = SeqMem::default();
             let mut rng = SimRng::new(1);
             let a = Addr::new(0x40);
             let mut init = PrivInit::new(a, 0xC0, prim);
             let ops = drive_sync(&mut init, &mut rng, 10, |op| mem.eval(op));
             assert_eq!(ops, 1, "{prim:?}");
-            assert_eq!(mem.get(a.as_u64()), 0xC0);
+            assert_eq!(mem.get(a), 0xC0);
         }
     }
 

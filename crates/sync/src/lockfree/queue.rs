@@ -373,8 +373,7 @@ impl SubMachine for MsDequeue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lockfree::testmem::Mem;
-    use crate::submachine::drive_sync;
+    use crate::submachine::{drive_sync, SeqMem};
 
     const HEAD: Addr = Addr::new(0x40);
     const TAIL: Addr = Addr::new(0x80);
@@ -384,23 +383,23 @@ mod tests {
     }
 
     /// head = tail = dummy (node 99), dummy.next = 0.
-    fn fresh(mem: &mut Mem) -> MsQueue {
+    fn fresh(mem: &mut SeqMem) -> MsQueue {
         let dummy = node(99);
-        mem.words.insert(HEAD.as_u64(), dummy.as_u64());
-        mem.words.insert(TAIL.as_u64(), dummy.as_u64());
+        mem.set(HEAD, dummy.as_u64());
+        mem.set(TAIL, dummy.as_u64());
         MsQueue {
             head: HEAD,
             tail: TAIL,
         }
     }
 
-    fn enq(mem: &mut Mem, q: MsQueue, i: u64, v: u64, prim: LinkPrim) {
+    fn enq(mem: &mut SeqMem, q: MsQueue, i: u64, v: u64, prim: LinkPrim) {
         let mut rng = SimRng::new(1);
         let mut e = MsEnqueue::new(q, node(i), v, prim);
         drive_sync(&mut e, &mut rng, 1000, |op| mem.eval(op));
     }
 
-    fn deq(mem: &mut Mem, q: MsQueue, prim: LinkPrim) -> Option<u64> {
+    fn deq(mem: &mut SeqMem, q: MsQueue, prim: LinkPrim) -> Option<u64> {
         let mut rng = SimRng::new(1);
         let mut d = MsDequeue::new(q, prim);
         drive_sync(&mut d, &mut rng, 1000, |op| mem.eval(op));
@@ -408,23 +407,20 @@ mod tests {
     }
 
     fn fifo_round_trip(prim: LinkPrim) {
-        let mut mem = Mem::default();
+        let mut mem = SeqMem::default();
         let q = fresh(&mut mem);
         assert_eq!(deq(&mut mem, q, prim), None, "{prim:?}: starts empty");
         for (i, v) in [(0u64, 111u64), (1, 222), (2, 333)] {
             enq(&mut mem, q, i, v, prim);
         }
         // Tail points at the last node after un-contended enqueues.
-        assert_eq!(decode(prim, mem.get(TAIL.as_u64())), node(2).as_u64());
+        assert_eq!(decode(prim, mem.get(TAIL)), node(2).as_u64());
         for v in [111u64, 222, 333] {
             assert_eq!(deq(&mut mem, q, prim), Some(v), "{prim:?}: FIFO");
         }
         assert_eq!(deq(&mut mem, q, prim), None, "{prim:?}: drains empty");
         // Head == tail again (both at the final dummy).
-        assert_eq!(
-            decode(prim, mem.get(HEAD.as_u64())),
-            decode(prim, mem.get(TAIL.as_u64()))
-        );
+        assert_eq!(decode(prim, mem.get(HEAD)), decode(prim, mem.get(TAIL)));
     }
 
     #[test]
@@ -444,13 +440,13 @@ mod tests {
 
     #[test]
     fn emul_tags_advance_on_every_update() {
-        let mut mem = Mem::default();
+        let mut mem = SeqMem::default();
         let q = fresh(&mut mem);
         enq(&mut mem, q, 0, 1, LinkPrim::EmulLlsc);
-        let tag_after_one = super::super::tagged_tag(mem.get(TAIL.as_u64()));
+        let tag_after_one = super::super::tagged_tag(mem.get(TAIL));
         enq(&mut mem, q, 1, 2, LinkPrim::EmulLlsc);
         assert!(
-            super::super::tagged_tag(mem.get(TAIL.as_u64())) > tag_after_one,
+            super::super::tagged_tag(mem.get(TAIL)) > tag_after_one,
             "tail tag must advance"
         );
     }
@@ -458,7 +454,7 @@ mod tests {
     /// Drives an enqueue only until its link succeeds, leaving the tail
     /// lagging — then checks the next enqueue helps swing it.
     fn interrupted_after_link(prim: LinkPrim) {
-        let mut mem = Mem::default();
+        let mut mem = SeqMem::default();
         let mut rng = SimRng::new(1);
         let q = fresh(&mut mem);
         let mut e = MsEnqueue::new(q, node(0), 111, prim);
@@ -483,14 +479,14 @@ mod tests {
             }
         }
         assert_eq!(
-            decode(prim, mem.get(TAIL.as_u64())),
+            decode(prim, mem.get(TAIL)),
             node(99).as_u64(),
             "tail still lags at the dummy"
         );
         // The next enqueue must help swing the tail, then link itself.
         enq(&mut mem, q, 1, 222, prim);
-        assert_eq!(decode(prim, mem.get(TAIL.as_u64())), node(1).as_u64());
-        assert_eq!(decode(prim, mem.get(node(0).as_u64())), node(1).as_u64());
+        assert_eq!(decode(prim, mem.get(TAIL)), node(1).as_u64());
+        assert_eq!(decode(prim, mem.get(node(0))), node(1).as_u64());
         // FIFO holds across the interruption.
         assert_eq!(deq(&mut mem, q, prim), Some(111));
         assert_eq!(deq(&mut mem, q, prim), Some(222));
@@ -515,7 +511,7 @@ mod tests {
     /// A dequeue facing a lagging tail (head == tail but a node is
     /// linked) must swing the tail itself and then dequeue the value.
     fn dequeue_helps(prim: LinkPrim) {
-        let mut mem = Mem::default();
+        let mut mem = SeqMem::default();
         let mut rng = SimRng::new(1);
         let q = fresh(&mut mem);
         let mut e = MsEnqueue::new(q, node(0), 111, prim);
@@ -544,7 +540,7 @@ mod tests {
         assert_eq!(d.dequeued(), Some(111), "{prim:?}");
         assert_eq!(d.retired(), Some(node(99).as_u64()));
         assert_eq!(
-            decode(prim, mem.get(TAIL.as_u64())),
+            decode(prim, mem.get(TAIL)),
             node(0).as_u64(),
             "{prim:?}: dequeue swung the lagging tail"
         );
@@ -567,7 +563,7 @@ mod tests {
 
     #[test]
     fn enqueue_retries_on_interference() {
-        let mut mem = Mem::default();
+        let mut mem = SeqMem::default();
         let mut rng = SimRng::new(1);
         let q = fresh(&mut mem);
         let mut e = MsEnqueue::new(q, node(0), 111, LinkPrim::CasPlain);

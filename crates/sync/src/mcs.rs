@@ -521,76 +521,7 @@ impl SubMachine for McsRelease {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::submachine::drive_sync;
-    use std::collections::HashMap;
-
-    /// A sequential memory for MCS logic tests.
-    #[derive(Default)]
-    struct Mem {
-        words: HashMap<u64, u64>,
-        reserved: bool,
-    }
-
-    impl Mem {
-        fn get(&self, a: Addr) -> u64 {
-            self.words.get(&a.as_u64()).copied().unwrap_or(0)
-        }
-        fn eval(&mut self, op: MemOp) -> OpResult {
-            match op {
-                MemOp::Load { addr } | MemOp::LoadExclusive { addr } => OpResult::Loaded {
-                    value: self.get(addr),
-                    serial: None,
-                    reserved: false,
-                },
-                MemOp::LoadLinked { addr } => {
-                    self.reserved = true;
-                    OpResult::Loaded {
-                        value: self.get(addr),
-                        serial: None,
-                        reserved: true,
-                    }
-                }
-                MemOp::Store { addr, value } => {
-                    self.words.insert(addr.as_u64(), value);
-                    OpResult::Stored
-                }
-                MemOp::FetchPhi { addr, op } => {
-                    let old = self.get(addr);
-                    self.words.insert(addr.as_u64(), op.apply(old));
-                    OpResult::Fetched { old }
-                }
-                MemOp::Cas {
-                    addr,
-                    expected,
-                    new,
-                } => {
-                    let observed = self.get(addr);
-                    if observed == expected {
-                        self.words.insert(addr.as_u64(), new);
-                        OpResult::CasDone {
-                            success: true,
-                            observed,
-                        }
-                    } else {
-                        OpResult::CasDone {
-                            success: false,
-                            observed,
-                        }
-                    }
-                }
-                MemOp::StoreConditional { addr, value, .. } => {
-                    if self.reserved {
-                        self.reserved = false;
-                        self.words.insert(addr.as_u64(), value);
-                        OpResult::ScDone { success: true }
-                    } else {
-                        OpResult::ScDone { success: false }
-                    }
-                }
-                MemOp::DropCopy { .. } => OpResult::Stored,
-            }
-        }
-    }
+    use crate::submachine::{drive_sync, SeqMem};
 
     const TAIL: Addr = Addr::new(0x100);
 
@@ -613,7 +544,7 @@ mod tests {
     #[test]
     fn uncontended_acquire_release_each_primitive() {
         for prim in Primitive::ALL {
-            let mut mem = Mem::default();
+            let mut mem = SeqMem::default();
             let mut rng = SimRng::new(1);
             let q = qnode(0);
             let mut acq = McsAcquire::new(lock(), q, PrimChoice::plain(prim));
@@ -628,7 +559,7 @@ mod tests {
 
     #[test]
     fn queued_acquire_spins_until_handoff() {
-        let mut mem = Mem::default();
+        let mut mem = SeqMem::default();
         let mut rng = SimRng::new(1);
         let (q0, q1) = (qnode(0), qnode(1));
 
@@ -671,13 +602,13 @@ mod tests {
 
     #[test]
     fn release_with_waiting_successor_hands_off_directly() {
-        let mut mem = Mem::default();
+        let mut mem = SeqMem::default();
         let mut rng = SimRng::new(1);
         let (q0, q1) = (qnode(0), qnode(1));
         // Queue state: P0 holds, P1 linked and spinning.
-        mem.words.insert(TAIL.as_u64(), q1.id());
-        mem.words.insert(q0.next.as_u64(), q1.id());
-        mem.words.insert(q1.locked.as_u64(), 1);
+        mem.set(TAIL, q1.id());
+        mem.set(q0.next, q1.id());
+        mem.set(q1.locked, 1);
 
         let mut rel = McsRelease::new(lock(), q0, PrimChoice::plain(Primitive::Cas));
         let ops = drive_sync(&mut rel, &mut rng, 100, |op| mem.eval(op));
@@ -692,14 +623,14 @@ mod tests {
         // P1's swap-in and link-store, P0's release swaps the tail to
         // nil; an usurper P2 then swaps itself in. P0 must splice P1
         // behind P2.
-        let mut mem = Mem::default();
+        let mut mem = SeqMem::default();
         let mut rng = SimRng::new(1);
         let (q0, q1, q2) = (qnode(0), qnode(1), qnode(2));
 
         // P1 has swapped itself in (tail = q1) but NOT yet linked into
         // q0.next.
-        mem.words.insert(TAIL.as_u64(), q1.id());
-        mem.words.insert(q1.locked.as_u64(), 1);
+        mem.set(TAIL, q1.id());
+        mem.set(q1.locked, 1);
 
         let mut rel = McsRelease::new(lock(), q0, PrimChoice::plain(Primitive::FetchPhi));
         let mut last = None;
@@ -714,8 +645,8 @@ mod tests {
                     // P1 completes its link.
                     if step_count == 2 {
                         assert_eq!(mem.get(TAIL), 0, "P0 swapped nil in");
-                        mem.words.insert(TAIL.as_u64(), q2.id()); // P2 swaps in (sees nil => holds lock)
-                        mem.words.insert(q0.next.as_u64(), q1.id()); // P1 finishes its link
+                        mem.set(TAIL, q2.id()); // P2 swaps in (sees nil => holds lock)
+                        mem.set(q0.next, q1.id()); // P1 finishes its link
                     }
                 }
                 Step::Compute(_) => {}
@@ -736,17 +667,17 @@ mod tests {
 
     #[test]
     fn llsc_release_retries_sc() {
-        let mut mem = Mem::default();
+        let mut mem = SeqMem::default();
         let mut rng = SimRng::new(1);
         let q0 = qnode(0);
-        mem.words.insert(TAIL.as_u64(), q0.id());
+        mem.set(TAIL, q0.id());
         let mut rel = McsRelease::new(lock(), q0, PrimChoice::plain(Primitive::Llsc));
         let mut failed_once = false;
         drive_sync(&mut rel, &mut rng, 100, |op| {
             if matches!(op, MemOp::StoreConditional { .. }) && !failed_once {
                 failed_once = true;
-                mem.reserved = false;
-                return OpResult::ScDone { success: false };
+                // Another processor rewrites the tail between LL and SC.
+                mem.set(TAIL, q0.id());
             }
             mem.eval(op)
         });

@@ -315,124 +315,59 @@ impl SubMachine for WriteRelease {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::submachine::drive_sync;
-
-    struct Mem {
-        lock: u64,
-        reserved: bool,
-    }
-
-    impl Mem {
-        fn eval(&mut self, op: MemOp) -> OpResult {
-            match op {
-                MemOp::Load { .. } => OpResult::Loaded {
-                    value: self.lock,
-                    serial: None,
-                    reserved: false,
-                },
-                MemOp::LoadLinked { .. } => {
-                    self.reserved = true;
-                    OpResult::Loaded {
-                        value: self.lock,
-                        serial: None,
-                        reserved: true,
-                    }
-                }
-                MemOp::Store { value, .. } => {
-                    self.lock = value;
-                    OpResult::Stored
-                }
-                MemOp::FetchPhi { op, .. } => {
-                    let old = self.lock;
-                    self.lock = op.apply(old);
-                    OpResult::Fetched { old }
-                }
-                MemOp::Cas { expected, new, .. } => {
-                    let observed = self.lock;
-                    if observed == expected {
-                        self.lock = new;
-                        OpResult::CasDone {
-                            success: true,
-                            observed,
-                        }
-                    } else {
-                        OpResult::CasDone {
-                            success: false,
-                            observed,
-                        }
-                    }
-                }
-                MemOp::StoreConditional { value, .. } => {
-                    if self.reserved {
-                        self.reserved = false;
-                        self.lock = value;
-                        OpResult::ScDone { success: true }
-                    } else {
-                        OpResult::ScDone { success: false }
-                    }
-                }
-                other => panic!("unexpected {other:?}"),
-            }
-        }
-    }
+    use crate::submachine::{drive_sync, SeqMem};
 
     const L: Addr = Addr::new(0x40);
+
+    fn lock_at(value: u64) -> SeqMem {
+        let mut mem = SeqMem::default();
+        mem.set(L, value);
+        mem
+    }
 
     #[test]
     fn readers_stack_up_and_drain() {
         for prim in [Primitive::Cas, Primitive::Llsc] {
-            let mut mem = Mem {
-                lock: 0,
-                reserved: false,
-            };
+            let mut mem = lock_at(0);
             let mut rng = SimRng::new(1);
             for expected in 1..=3u64 {
                 let mut a = ReadAcquire::new(L, prim);
                 drive_sync(&mut a, &mut rng, 100, |op| mem.eval(op));
-                assert_eq!(mem.lock, expected, "{prim}");
+                assert_eq!(mem.get(L), expected, "{prim}");
             }
             for expected in (0..=2u64).rev() {
                 let mut r = ReadRelease::new(L, prim);
                 drive_sync(&mut r, &mut rng, 100, |op| mem.eval(op));
-                assert_eq!(mem.lock, expected, "{prim}");
+                assert_eq!(mem.get(L), expected, "{prim}");
             }
         }
     }
 
     #[test]
     fn fetch_add_read_release() {
-        let mut mem = Mem {
-            lock: 2,
-            reserved: false,
-        };
+        let mut mem = lock_at(2);
         let mut rng = SimRng::new(1);
         let mut r = ReadRelease::new(L, Primitive::FetchPhi);
         let ops = drive_sync(&mut r, &mut rng, 100, |op| mem.eval(op));
         assert_eq!(ops, 1, "unconditional decrement is a single fetch_and_add");
-        assert_eq!(mem.lock, 1);
+        assert_eq!(mem.get(L), 1);
     }
 
     #[test]
     fn writer_excludes_and_releases() {
-        let mut mem = Mem {
-            lock: 0,
-            reserved: false,
-        };
+        let mut mem = lock_at(0);
         let mut rng = SimRng::new(1);
         let mut w = WriteAcquire::new(L, Primitive::Cas);
         drive_sync(&mut w, &mut rng, 100, |op| mem.eval(op));
-        assert_eq!(mem.lock, WRITER_BIT);
+        assert_eq!(mem.get(L), WRITER_BIT);
         let mut r = WriteRelease::new(L);
         drive_sync(&mut r, &mut rng, 100, |op| mem.eval(op));
-        assert_eq!(mem.lock, 0);
+        assert_eq!(mem.get(L), 0);
     }
 
     #[test]
     fn reader_spins_while_writer_holds() {
-        let mut mem = Mem {
-            lock: WRITER_BIT,
-            reserved: false,
-        };
+        let mut mem = lock_at(WRITER_BIT);
         let mut rng = SimRng::new(1);
         let mut a = ReadAcquire::new(L, Primitive::Cas);
         let mut reads = 0;
@@ -444,7 +379,7 @@ mod tests {
                     if matches!(op, MemOp::Load { .. }) {
                         reads += 1;
                         if reads == 4 {
-                            mem.lock = 0; // writer releases
+                            mem.set(L, 0); // writer releases
                         }
                     }
                     last = Some(mem.eval(op));
@@ -452,7 +387,7 @@ mod tests {
                 Step::Compute(_) => {}
                 Step::SpinWhile { .. } => unreachable!("no spin-waits here"),
                 Step::Done => {
-                    assert_eq!(mem.lock, 1);
+                    assert_eq!(mem.get(L), 1);
                     return;
                 }
             }
@@ -462,10 +397,7 @@ mod tests {
 
     #[test]
     fn writer_spins_while_readers_present() {
-        let mut mem = Mem {
-            lock: 2,
-            reserved: false,
-        };
+        let mut mem = lock_at(2);
         let mut rng = SimRng::new(1);
         let mut w = WriteAcquire::new(L, Primitive::Llsc);
         let mut reads = 0;
@@ -476,7 +408,7 @@ mod tests {
                     if matches!(op, MemOp::LoadLinked { .. }) {
                         reads += 1;
                         if reads == 3 {
-                            mem.lock = 0; // readers drain
+                            mem.set(L, 0); // readers drain
                         }
                     }
                     last = Some(mem.eval(op));
@@ -484,7 +416,7 @@ mod tests {
                 Step::Compute(_) => {}
                 Step::SpinWhile { .. } => unreachable!("no spin-waits here"),
                 Step::Done => {
-                    assert_eq!(mem.lock, WRITER_BIT);
+                    assert_eq!(mem.get(L), WRITER_BIT);
                     return;
                 }
             }

@@ -269,74 +269,7 @@ impl SubMachine for StackPop {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::submachine::drive_sync;
-    use std::collections::HashMap;
-
-    #[derive(Default)]
-    struct Mem {
-        words: HashMap<u64, u64>,
-        reserved: Option<u64>,
-    }
-
-    impl Mem {
-        fn get(&self, a: u64) -> u64 {
-            self.words.get(&a).copied().unwrap_or(0)
-        }
-        fn eval(&mut self, op: MemOp) -> OpResult {
-            match op {
-                MemOp::Load { addr } => OpResult::Loaded {
-                    value: self.get(addr.as_u64()),
-                    serial: None,
-                    reserved: false,
-                },
-                MemOp::LoadLinked { addr } => {
-                    self.reserved = Some(addr.as_u64());
-                    OpResult::Loaded {
-                        value: self.get(addr.as_u64()),
-                        serial: None,
-                        reserved: true,
-                    }
-                }
-                MemOp::Store { addr, value } => {
-                    // Any write to the reserved address clears it.
-                    if self.reserved == Some(addr.as_u64()) {
-                        self.reserved = None;
-                    }
-                    self.words.insert(addr.as_u64(), value);
-                    OpResult::Stored
-                }
-                MemOp::Cas {
-                    addr,
-                    expected,
-                    new,
-                } => {
-                    let observed = self.get(addr.as_u64());
-                    if observed == expected {
-                        self.words.insert(addr.as_u64(), new);
-                        OpResult::CasDone {
-                            success: true,
-                            observed,
-                        }
-                    } else {
-                        OpResult::CasDone {
-                            success: false,
-                            observed,
-                        }
-                    }
-                }
-                MemOp::StoreConditional { addr, value, .. } => {
-                    if self.reserved == Some(addr.as_u64()) {
-                        self.reserved = None;
-                        self.words.insert(addr.as_u64(), value);
-                        OpResult::ScDone { success: true }
-                    } else {
-                        OpResult::ScDone { success: false }
-                    }
-                }
-                other => panic!("unexpected {other:?}"),
-            }
-        }
-    }
+    use crate::submachine::{drive_sync, SeqMem};
 
     const TOP: Addr = Addr::new(0x100);
 
@@ -353,7 +286,7 @@ mod tests {
     }
 
     fn push_pop_sequence(prim: StackPrim) {
-        let mut mem = Mem::default();
+        let mut mem = SeqMem::default();
         let mut rng = SimRng::new(1);
         // Push nodes 0, 1, 2.
         for i in 0..3 {
@@ -385,20 +318,20 @@ mod tests {
 
     #[test]
     fn counted_cas_bumps_generation() {
-        let mut mem = Mem::default();
+        let mut mem = SeqMem::default();
         let mut rng = SimRng::new(1);
         let mut p = StackPush::new(TOP, node(0), StackPrim::CasCounted);
         drive_sync(&mut p, &mut rng, 100, |op| mem.eval(op));
-        assert_eq!(unpack_gen(mem.get(TOP.as_u64())), 1);
+        assert_eq!(unpack_gen(mem.get(TOP)), 1);
         let mut p = StackPop::new(TOP, StackPrim::CasCounted);
         drive_sync(&mut p, &mut rng, 100, |op| mem.eval(op));
-        assert_eq!(unpack_gen(mem.get(TOP.as_u64())), 2);
-        assert_eq!(unpack_node(mem.get(TOP.as_u64())), 0);
+        assert_eq!(unpack_gen(mem.get(TOP)), 2);
+        assert_eq!(unpack_node(mem.get(TOP)), 0);
     }
 
     #[test]
     fn push_retries_on_interference() {
-        let mut mem = Mem::default();
+        let mut mem = SeqMem::default();
         let mut rng = SimRng::new(1);
         let mut p = StackPush::new(TOP, node(0), StackPrim::CasPlain);
         let mut interfered = false;
@@ -406,22 +339,22 @@ mod tests {
             if matches!(op, MemOp::Cas { .. }) && !interfered {
                 interfered = true;
                 // Someone else pushed node 9 meanwhile.
-                mem.words.insert(TOP.as_u64(), node(9).as_u64());
+                mem.set(TOP, node(9).as_u64());
             }
             mem.eval(op)
         });
         assert_eq!(p.retries, 1);
         // Our node now heads the stack and links to node 9.
-        assert_eq!(mem.get(TOP.as_u64()), node(0).as_u64());
-        assert_eq!(mem.get(node(0).as_u64()), node(9).as_u64());
+        assert_eq!(mem.get(TOP), node(0).as_u64());
+        assert_eq!(mem.get(node(0)), node(9).as_u64());
     }
 
     /// The scripted ABA schedule from §2.2: P1 reads top=A and A.next=B;
     /// meanwhile A and B are popped and A is pushed back (with a
     /// different successor). P1's plain CAS then succeeds and corrupts
     /// the stack; the counted CAS fails and retries safely.
-    fn aba_schedule(prim: StackPrim) -> (Mem, bool) {
-        let mut mem = Mem::default();
+    fn aba_schedule(prim: StackPrim) -> (SeqMem, bool) {
+        let mut mem = SeqMem::default();
         let mut rng = SimRng::new(1);
         // Stack: A -> B -> C.
         for i in [2u64, 1, 0] {
@@ -441,16 +374,17 @@ mod tests {
                         && matches!(op, MemOp::Cas { .. } | MemOp::StoreConditional { .. })
                     {
                         interfered = true;
-                        // --- interference: pop A, pop B, push A back ---
+                        // --- interference by P2: pop A, pop B, push A back ---
+                        let p2 = dsm_sim::ProcId::new(2);
                         for _ in 0..2 {
                             let mut p = StackPop::new(TOP, prim);
-                            drive_sync(&mut p, &mut rng, 100, |o| mem.eval(o));
+                            drive_sync(&mut p, &mut rng, 100, |o| mem.eval_by(p2, o));
                         }
                         let mut p = StackPush::new(TOP, node(0), prim);
-                        drive_sync(&mut p, &mut rng, 100, |o| mem.eval(o));
+                        drive_sync(&mut p, &mut rng, 100, |o| mem.eval_by(p2, o));
                         // Stack is now A -> C; B is "free".
-                        assert_eq!(head_node(prim, mem.get(TOP.as_u64())), a);
-                        assert_eq!(mem.get(a), c);
+                        assert_eq!(head_node(prim, mem.get(TOP)), a);
+                        assert_eq!(mem.get(Addr::new(a)), c);
                         // --- victim resumes its swap ---
                         last = Some(mem.eval(op));
                     } else {
@@ -473,7 +407,7 @@ mod tests {
         let (mem, corrupted) = aba_schedule(StackPrim::CasPlain);
         assert!(corrupted, "plain CAS must not detect the ABA writes");
         // The stack head now points at B, which was freed: corruption.
-        assert_eq!(mem.get(TOP.as_u64()), node(1).as_u64());
+        assert_eq!(mem.get(TOP), node(1).as_u64());
     }
 
     #[test]
@@ -481,7 +415,7 @@ mod tests {
         let (mem, corrupted) = aba_schedule(StackPrim::CasCounted);
         assert!(!corrupted, "the generation count must force a retry");
         // The retry popped the real head A; C remains.
-        assert_eq!(unpack_node(mem.get(TOP.as_u64())), node(2).as_u64());
+        assert_eq!(unpack_node(mem.get(TOP)), node(2).as_u64());
     }
 
     #[test]
@@ -491,9 +425,6 @@ mod tests {
             !corrupted,
             "the interfering writes must clear the reservation"
         );
-        assert_eq!(
-            head_node(StackPrim::Llsc, mem.get(TOP.as_u64())),
-            node(2).as_u64()
-        );
+        assert_eq!(head_node(StackPrim::Llsc, mem.get(TOP)), node(2).as_u64());
     }
 }

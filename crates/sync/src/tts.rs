@@ -23,22 +23,14 @@ use dsm_sim::{Addr, SimRng};
 ///
 /// ```
 /// use dsm_sim::{Addr, SimRng};
-/// use dsm_sync::{drive_sync, PrimChoice, Primitive, TtsAcquire};
-/// use dsm_protocol::{MemOp, OpResult, PhiOp};
+/// use dsm_sync::{drive_sync, PrimChoice, Primitive, SeqMem, TtsAcquire};
 ///
 /// let mut rng = SimRng::new(3);
-/// let mut acq = TtsAcquire::new(Addr::new(32), PrimChoice::plain(Primitive::FetchPhi));
-/// let mut lock = 0u64;
-/// drive_sync(&mut acq, &mut rng, 100, |op| match op {
-///     MemOp::Load { .. } => OpResult::Loaded { value: lock, serial: None, reserved: false },
-///     MemOp::FetchPhi { op: PhiOp::TestAndSet, .. } => {
-///         let old = lock;
-///         lock = 1;
-///         OpResult::Fetched { old }
-///     }
-///     other => panic!("unexpected {other:?}"),
-/// });
-/// assert_eq!(lock, 1, "lock acquired");
+/// let lock = Addr::new(32);
+/// let mut acq = TtsAcquire::new(lock, PrimChoice::plain(Primitive::FetchPhi));
+/// let mut mem = SeqMem::default();
+/// drive_sync(&mut acq, &mut rng, 100, |op| mem.eval(op));
+/// assert_eq!(mem.get(lock), 1, "lock acquired");
 /// ```
 #[derive(Debug, Clone)]
 pub struct TtsAcquire {
@@ -224,89 +216,44 @@ impl SubMachine for TtsRelease {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::submachine::drive_sync;
+    use crate::submachine::{drive_sync, SeqMem};
 
+    const LOCK: Addr = Addr::new(32);
+
+    /// A lock word that reads as held for the first `busy_reads` loads.
     struct LockMem {
-        lock: u64,
-        reserved: bool,
-        /// Pretend the lock is held for the first `busy_reads` reads.
+        mem: SeqMem,
         busy_reads: u64,
     }
 
     impl LockMem {
+        fn new(lock: u64, busy_reads: u64) -> Self {
+            let mut mem = SeqMem::default();
+            mem.set(LOCK, lock);
+            LockMem { mem, busy_reads }
+        }
+
+        fn lock(&self) -> u64 {
+            self.mem.get(LOCK)
+        }
+
         fn eval(&mut self, op: MemOp) -> OpResult {
-            match op {
-                MemOp::Load { .. } => {
-                    let v = if self.busy_reads > 0 {
-                        self.busy_reads -= 1;
-                        1
-                    } else {
-                        self.lock
-                    };
-                    OpResult::Loaded {
-                        value: v,
-                        serial: None,
-                        reserved: false,
-                    }
-                }
-                MemOp::LoadLinked { .. } => {
-                    self.reserved = true;
-                    OpResult::Loaded {
-                        value: self.lock,
-                        serial: None,
-                        reserved: true,
-                    }
-                }
-                MemOp::FetchPhi {
-                    op: PhiOp::TestAndSet,
-                    ..
-                } => {
-                    let old = self.lock;
-                    self.lock = 1;
-                    OpResult::Fetched { old }
-                }
-                MemOp::Cas { expected, new, .. } => {
-                    let observed = self.lock;
-                    if observed == expected {
-                        self.lock = new;
-                        OpResult::CasDone {
-                            success: true,
-                            observed,
-                        }
-                    } else {
-                        OpResult::CasDone {
-                            success: false,
-                            observed,
-                        }
-                    }
-                }
-                MemOp::StoreConditional { value, .. } => {
-                    if self.reserved {
-                        self.lock = value;
-                        self.reserved = false;
-                        OpResult::ScDone { success: true }
-                    } else {
-                        OpResult::ScDone { success: false }
-                    }
-                }
-                MemOp::Store { value, .. } => {
-                    self.lock = value;
-                    OpResult::Stored
-                }
-                MemOp::DropCopy { .. } => OpResult::Stored,
-                other => panic!("unexpected {other:?}"),
+            if matches!(op, MemOp::Load { .. }) && self.busy_reads > 0 {
+                self.busy_reads -= 1;
+                return OpResult::Loaded {
+                    value: 1,
+                    serial: None,
+                    reserved: false,
+                };
             }
+            self.mem.eval(op)
         }
     }
 
     fn acquire_with(prim: Primitive, busy_reads: u64) -> (LockMem, u64) {
-        let mut mem = LockMem {
-            lock: 0,
-            reserved: false,
-            busy_reads,
-        };
+        let mut mem = LockMem::new(0, busy_reads);
         let mut rng = SimRng::new(5);
-        let mut acq = TtsAcquire::new(Addr::new(32), PrimChoice::plain(prim));
+        let mut acq = TtsAcquire::new(LOCK, PrimChoice::plain(prim));
         let ops = drive_sync(&mut acq, &mut rng, 1000, |op| mem.eval(op));
         (mem, ops as u64)
     }
@@ -315,27 +262,23 @@ mod tests {
     fn acquires_free_lock_with_each_primitive() {
         for prim in Primitive::ALL {
             let (mem, _) = acquire_with(prim, 0);
-            assert_eq!(mem.lock, 1, "{prim} failed to acquire");
+            assert_eq!(mem.lock(), 1, "{prim} failed to acquire");
         }
     }
 
     #[test]
     fn spins_while_held_then_acquires() {
         let (mem, ops) = acquire_with(Primitive::Cas, 5);
-        assert_eq!(mem.lock, 1);
+        assert_eq!(mem.lock(), 1);
         // 5 busy reads + 1 free read + 1 CAS.
         assert_eq!(ops, 7);
     }
 
     #[test]
     fn llsc_acquire_uses_ll_sc_pair() {
-        let mut mem = LockMem {
-            lock: 0,
-            reserved: false,
-            busy_reads: 0,
-        };
+        let mut mem = LockMem::new(0, 0);
         let mut rng = SimRng::new(5);
-        let mut acq = TtsAcquire::new(Addr::new(32), PrimChoice::plain(Primitive::Llsc));
+        let mut acq = TtsAcquire::new(LOCK, PrimChoice::plain(Primitive::Llsc));
         let mut kinds = Vec::new();
         drive_sync(&mut acq, &mut rng, 100, |op| {
             kinds.push(format!("{op:?}").split(' ').next().unwrap().to_string());
@@ -347,63 +290,43 @@ mod tests {
 
     #[test]
     fn release_stores_zero() {
-        let mut mem = LockMem {
-            lock: 1,
-            reserved: false,
-            busy_reads: 0,
-        };
+        let mut mem = LockMem::new(1, 0);
         let mut rng = SimRng::new(5);
-        let mut rel = TtsRelease::new(Addr::new(32), PrimChoice::plain(Primitive::Cas));
+        let mut rel = TtsRelease::new(LOCK, PrimChoice::plain(Primitive::Cas));
         let ops = drive_sync(&mut rel, &mut rng, 10, |op| mem.eval(op));
         assert_eq!(ops, 1);
-        assert_eq!(mem.lock, 0);
+        assert_eq!(mem.lock(), 0);
     }
 
     #[test]
     fn release_with_drop_copy() {
-        let mut mem = LockMem {
-            lock: 1,
-            reserved: false,
-            busy_reads: 0,
-        };
+        let mut mem = LockMem::new(1, 0);
         let mut rng = SimRng::new(5);
-        let mut rel = TtsRelease::new(
-            Addr::new(32),
-            PrimChoice::plain(Primitive::Cas).with_drop_copy(),
-        );
+        let mut rel = TtsRelease::new(LOCK, PrimChoice::plain(Primitive::Cas).with_drop_copy());
         let ops = drive_sync(&mut rel, &mut rng, 10, |op| mem.eval(op));
         assert_eq!(ops, 2);
-        assert_eq!(mem.lock, 0);
+        assert_eq!(mem.lock(), 0);
     }
 
     #[test]
     fn backoff_counts_failed_attempts() {
-        // The CAS attempt fails once (lock grabbed between test and set).
-        struct Race {
-            inner: LockMem,
-            raced: bool,
-        }
-        let mut mem = Race {
-            inner: LockMem {
-                lock: 0,
-                reserved: false,
-                busy_reads: 0,
-            },
-            raced: false,
-        };
+        // The CAS attempt fails once: another processor grabs the lock
+        // between test and set, and releases it during our backoff.
+        let mut mem = LockMem::new(0, 0);
         let mut rng = SimRng::new(5);
-        let mut acq = TtsAcquire::new(Addr::new(32), PrimChoice::plain(Primitive::Cas));
+        let mut acq = TtsAcquire::new(LOCK, PrimChoice::plain(Primitive::Cas));
+        let mut raced = false;
         drive_sync(&mut acq, &mut rng, 1000, |op| {
-            if matches!(op, MemOp::Cas { .. }) && !mem.raced {
-                mem.raced = true;
-                return OpResult::CasDone {
-                    success: false,
-                    observed: 1,
-                };
+            if matches!(op, MemOp::Cas { .. }) && !raced {
+                raced = true;
+                mem.mem.set(LOCK, 1);
+                let r = mem.eval(op);
+                mem.mem.set(LOCK, 0);
+                return r;
             }
-            mem.inner.eval(op)
+            mem.eval(op)
         });
         assert_eq!(acq.attempts_failed, 1);
-        assert_eq!(mem.inner.lock, 1);
+        assert_eq!(mem.lock(), 1);
     }
 }

@@ -134,75 +134,7 @@ impl SubMachine for LockedIncr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dsm_sync::{drive_sync, Primitive};
-    use std::collections::HashMap;
-
-    #[derive(Default)]
-    struct Mem {
-        words: HashMap<u64, u64>,
-        reserved: bool,
-    }
-
-    impl Mem {
-        fn get(&self, a: Addr) -> u64 {
-            self.words.get(&a.as_u64()).copied().unwrap_or(0)
-        }
-        fn eval(&mut self, op: MemOp) -> OpResult {
-            match op {
-                MemOp::Load { addr } | MemOp::LoadExclusive { addr } => OpResult::Loaded {
-                    value: self.get(addr),
-                    serial: None,
-                    reserved: false,
-                },
-                MemOp::LoadLinked { addr } => {
-                    self.reserved = true;
-                    OpResult::Loaded {
-                        value: self.get(addr),
-                        serial: None,
-                        reserved: true,
-                    }
-                }
-                MemOp::Store { addr, value } => {
-                    self.words.insert(addr.as_u64(), value);
-                    OpResult::Stored
-                }
-                MemOp::FetchPhi { addr, op } => {
-                    let old = self.get(addr);
-                    self.words.insert(addr.as_u64(), op.apply(old));
-                    OpResult::Fetched { old }
-                }
-                MemOp::Cas {
-                    addr,
-                    expected,
-                    new,
-                } => {
-                    let observed = self.get(addr);
-                    if observed == expected {
-                        self.words.insert(addr.as_u64(), new);
-                        OpResult::CasDone {
-                            success: true,
-                            observed,
-                        }
-                    } else {
-                        OpResult::CasDone {
-                            success: false,
-                            observed,
-                        }
-                    }
-                }
-                MemOp::StoreConditional { addr, value, .. } => {
-                    if self.reserved {
-                        self.reserved = false;
-                        self.words.insert(addr.as_u64(), value);
-                        OpResult::ScDone { success: true }
-                    } else {
-                        OpResult::ScDone { success: false }
-                    }
-                }
-                MemOp::DropCopy { .. } => OpResult::Stored,
-            }
-        }
-    }
+    use dsm_sync::{drive_sync, Primitive, SeqMem};
 
     const COUNTER: Addr = Addr::new(0x20);
     const LOCK: Addr = Addr::new(0x40);
@@ -210,7 +142,7 @@ mod tests {
     #[test]
     fn tts_protected_increment() {
         for prim in Primitive::ALL {
-            let mut mem = Mem::default();
+            let mut mem = SeqMem::default();
             let mut rng = SimRng::new(1);
             let mut incr = LockedIncr::new(
                 COUNTER,
@@ -228,7 +160,7 @@ mod tests {
     #[test]
     fn mcs_protected_increment() {
         for prim in Primitive::ALL {
-            let mut mem = Mem::default();
+            let mut mem = SeqMem::default();
             let mut rng = SimRng::new(1);
             let mut incr = LockedIncr::new(
                 COUNTER,
@@ -245,7 +177,7 @@ mod tests {
 
     #[test]
     fn repeated_increments_accumulate() {
-        let mut mem = Mem::default();
+        let mut mem = SeqMem::default();
         let mut rng = SimRng::new(1);
         for _ in 0..5 {
             let mut incr = LockedIncr::new(

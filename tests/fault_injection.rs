@@ -437,3 +437,68 @@ fn jitter_preserves_local_fifo_between_home_and_colocated_cache() {
     let result = runner::try_run_one(&job);
     assert!(result.is_ok(), "{}", result.unwrap_err());
 }
+
+/// Injected line corruption never yields a silent wrong value under
+/// paranoid checking. Four processors each add 1 to one INV word 40
+/// times, by three loads and a CAS of the last value read. A
+/// `CorruptLine` fault promotes a shared copy to `Exclusive` behind the
+/// directory's back; a node that then writes it silently loses updates
+/// once an invalidation drops the copy. The per-transition directory
+/// agreement check must stop every such run with
+/// `RunError::Invariant`; every other run must count to 160.
+#[test]
+fn corrupted_lines_never_yield_a_silent_wrong_value() {
+    const NODES: u32 = 4;
+    const ITERS: u64 = 40;
+    let counter = Addr::new(0x2000);
+    let (mut caught, mut correct) = (0, 0);
+    for seed in 0..200 {
+        let mut mcfg = MachineConfig::with_nodes(NODES);
+        mcfg.seed = seed;
+        mcfg.faults = FaultConfig::from_spec("corrupt=2000,period=64").unwrap();
+        mcfg.faults.paranoid = true;
+        let mut b = MachineBuilder::new(mcfg);
+        b.register_sync(counter, SyncConfig::default());
+        for _ in 0..NODES {
+            let mut done = 0;
+            let mut loads = 0;
+            b.add_program(move |ctx: &mut ProcCtx<'_>| {
+                match ctx.last.take() {
+                    Some(OpResult::CasDone { success: true, .. }) => done += 1,
+                    Some(OpResult::Loaded { value, .. }) if loads == 3 => {
+                        loads = 0;
+                        return Action::Op(MemOp::Cas {
+                            addr: counter,
+                            expected: value,
+                            new: value + 1,
+                        });
+                    }
+                    _ => {}
+                }
+                if done == ITERS {
+                    return Action::Done;
+                }
+                loads += 1;
+                Action::Op(MemOp::Load { addr: counter })
+            });
+        }
+        let mut m = b.build();
+        match m.run(LIMIT) {
+            Err(RunError::Invariant { .. }) => caught += 1,
+            Ok(_) => {
+                let value = m.read_word(counter);
+                assert_eq!(
+                    value,
+                    u64::from(NODES) * ITERS,
+                    "seed {seed}: silent wrong value"
+                );
+                correct += 1;
+            }
+            Err(e) => panic!("seed {seed}: {e}"),
+        }
+    }
+    assert!(
+        caught > 0 && correct > 0,
+        "caught {caught}, correct {correct}"
+    );
+}
