@@ -149,31 +149,23 @@ fn replay_reproducer(path: &str) -> ! {
 
 /// `figures analyze FILE... [--csv DIR]`: runs the trace-analytics
 /// engine over binary ring dumps and prints the latency/critical-path
-/// report. Exit 0 on success, 2 on an unreadable file.
+/// report. Exit 0 on success, 2 on bad arguments or an unreadable file.
 fn analyze_traces(args: &[String]) -> ! {
-    let csv_dir: Option<PathBuf> = args
-        .iter()
-        .position(|a| a == "--csv")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from);
-    let mut skip_next = false;
-    let files: Vec<&String> = args
-        .iter()
-        .filter(|a| {
-            if skip_next {
-                skip_next = false;
-                return false;
-            }
-            if *a == "--csv" {
-                skip_next = true;
-                return false;
-            }
-            !a.starts_with("--")
-        })
-        .collect();
+    let mut csv_dir: Option<PathBuf> = None;
+    let mut files: Vec<&String> = Vec::new();
+    let mut rest = args.iter();
+    while let Some(a) = rest.next() {
+        match a.as_str() {
+            "--csv" => match rest.next() {
+                Some(dir) => csv_dir = Some(PathBuf::from(dir)),
+                None => usage_error("--csv takes a directory"),
+            },
+            _ if a.starts_with('-') => usage_error(&format!("unknown option `{a}`")),
+            _ => files.push(a),
+        }
+    }
     if files.is_empty() {
-        eprintln!("usage: figures analyze FILE... [--csv DIR]");
-        std::process::exit(2);
+        usage_error("analyze takes at least one FILE");
     }
     let analysis = match dsm_analyze::Analysis::from_files(&files) {
         Ok(a) => a,
@@ -195,12 +187,9 @@ fn analyze_traces(args: &[String]) -> ! {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.first().map(String::as_str) == Some("repro") {
-        match args.get(1) {
-            Some(path) => replay_reproducer(path),
-            None => {
-                eprintln!("usage: figures repro FILE");
-                std::process::exit(2);
-            }
+        match &args[1..] {
+            [path] => replay_reproducer(path),
+            _ => usage_error("repro takes exactly one FILE"),
         }
     }
     if args.first().map(String::as_str) == Some("analyze") {
@@ -288,18 +277,7 @@ fn main() {
             match artifact {
                 "table1" => {
                     println!("## Table 1 — serialized network messages for stores\n");
-                    let mut rows = vec![vec![
-                        "scenario".to_string(),
-                        "paper".to_string(),
-                        "measured".to_string(),
-                    ]];
-                    for r in table1::run() {
-                        rows.push(vec![
-                            r.scenario.to_string(),
-                            r.paper.to_string(),
-                            r.measured.to_string(),
-                        ]);
-                    }
+                    let rows = table1::csv_rows(&table1::run());
                     println!("{}", atomic_dsm::stats::render_table(&rows));
                     write_csv(&csv_dir, "table1", &rows);
                 }
@@ -307,23 +285,7 @@ fn main() {
                     println!("## Figure 2 — contention histograms (p={})\n", s.procs);
                     let runs = apps::fig2(&s);
                     println!("{}", apps::render_fig2(&runs));
-                    let mut rows = vec![vec![
-                        "app".to_string(),
-                        "policy".to_string(),
-                        "level".to_string(),
-                        "percentage".to_string(),
-                    ]];
-                    for r in &runs {
-                        for (level, _) in r.contention.iter() {
-                            rows.push(vec![
-                                r.app.label().to_string(),
-                                r.bar.policy.label().to_string(),
-                                level.to_string(),
-                                format!("{:.4}", r.contention.percentage(level)),
-                            ]);
-                        }
-                    }
-                    write_csv(&csv_dir, "fig2", &rows);
+                    write_csv(&csv_dir, "fig2", &apps::fig2_csv_rows(&runs));
                 }
                 f @ ("fig3" | "fig4" | "fig5") => {
                     let kind = match f {
@@ -355,23 +317,7 @@ fn main() {
                             println!("{}", atomic_dsm::stats::render_bar_chart(&data, 50));
                         }
                     }
-                    let mut rows = vec![vec![
-                        "implementation".to_string(),
-                        "contention".to_string(),
-                        "write_run".to_string(),
-                        "avg_cycles".to_string(),
-                    ]];
-                    for g in &graphs {
-                        for p in &g.points {
-                            rows.push(vec![
-                                p.bar.label(),
-                                g.contention.to_string(),
-                                g.write_run.to_string(),
-                                format!("{:.2}", p.avg_cycles),
-                            ]);
-                        }
-                    }
-                    write_csv(&csv_dir, f, &rows);
+                    write_csv(&csv_dir, f, &counters::csv_rows(&graphs));
                 }
                 "fig6" => {
                     println!(
@@ -380,19 +326,7 @@ fn main() {
                     );
                     let runs = apps::fig6(&paper_bars(), &s);
                     println!("{}", apps::render_fig6(&runs));
-                    let mut rows = vec![vec![
-                        "app".to_string(),
-                        "implementation".to_string(),
-                        "total_cycles".to_string(),
-                    ]];
-                    for r in &runs {
-                        rows.push(vec![
-                            r.app.label().to_string(),
-                            r.bar.label(),
-                            r.cycles.to_string(),
-                        ]);
-                    }
-                    write_csv(&csv_dir, "fig6", &rows);
+                    write_csv(&csv_dir, "fig6", &apps::fig6_csv_rows(&runs));
                 }
                 "scaling" => {
                     println!(
@@ -400,21 +334,7 @@ fn main() {
                     );
                     let lines = scaling::run_scaling(CounterKind::LockFree, s.rounds.min(32));
                     println!("{}", scaling::render(&lines));
-                    let mut rows = vec![vec![
-                        "implementation".to_string(),
-                        "procs".to_string(),
-                        "avg_cycles".to_string(),
-                    ]];
-                    for line in &lines {
-                        for (p, pt) in &line.points {
-                            rows.push(vec![
-                                line.bar.label(),
-                                p.to_string(),
-                                format!("{:.2}", pt.avg_cycles),
-                            ]);
-                        }
-                    }
-                    write_csv(&csv_dir, "scaling", &rows);
+                    write_csv(&csv_dir, "scaling", &scaling::csv_rows(&lines));
                 }
                 "scaling-xl" => {
                     println!(
@@ -428,21 +348,7 @@ fn main() {
                         &scaling::PROCS_XL,
                     );
                     println!("{}", scaling::render(&lines));
-                    let mut rows = vec![vec![
-                        "implementation".to_string(),
-                        "procs".to_string(),
-                        "avg_cycles".to_string(),
-                    ]];
-                    for line in &lines {
-                        for (p, pt) in &line.points {
-                            rows.push(vec![
-                                line.bar.label(),
-                                p.to_string(),
-                                format!("{:.2}", pt.avg_cycles),
-                            ]);
-                        }
-                    }
-                    write_csv(&csv_dir, "scaling_xl", &rows);
+                    write_csv(&csv_dir, "scaling_xl", &scaling::csv_rows(&lines));
                 }
                 "lockfree" => {
                     println!(
@@ -451,25 +357,7 @@ fn main() {
                     );
                     let tables = lockfree::run_tables(&s);
                     println!("{}", lockfree::render(&tables));
-                    let mut rows = vec![vec![
-                        "structure".to_string(),
-                        "primitive".to_string(),
-                        "policy".to_string(),
-                        "ops".to_string(),
-                        "avg_cycles".to_string(),
-                    ]];
-                    for t in &tables {
-                        for p in &t.points {
-                            rows.push(vec![
-                                t.structure.label().to_string(),
-                                p.prim.label().to_string(),
-                                p.policy.label().to_string(),
-                                p.ops.to_string(),
-                                format!("{:.2}", p.avg_cycles),
-                            ]);
-                        }
-                    }
-                    write_csv(&csv_dir, "lockfree", &rows);
+                    write_csv(&csv_dir, "lockfree", &lockfree::csv_rows(&tables));
                 }
                 "latency" => {
                     println!(

@@ -154,10 +154,19 @@ fn run_killed_inside_one_artifact_keeps_its_finished_jobs() {
 }
 
 /// Unknown flags and stray values exit 2 with the usage text on stderr
-/// and nothing on stdout — before any artifact runs.
+/// and nothing on stdout — before any artifact runs or any file is
+/// read, on the `analyze` and `repro` paths too.
 #[test]
 fn unknown_input_is_rejected_before_anything_runs() {
-    for args in [&["table1", "--bogus"][..], &["table1", "--workers", "2"]] {
+    for args in [
+        &["table1", "--bogus"][..],
+        &["table1", "--workers", "2"],
+        &["analyze", "--bogus", "nofile.ring"],
+        &["analyze", "nofile.ring", "--csv"],
+        &["analyze"],
+        &["repro", "nofile.repro", "extra"],
+        &["repro"],
+    ] {
         let out = figures().args(args).output().unwrap();
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         assert!(out.stdout.is_empty(), "{args:?} printed to stdout");

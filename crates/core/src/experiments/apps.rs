@@ -231,6 +231,45 @@ pub fn render_fig2(runs: &[AppRun]) -> String {
     s
 }
 
+/// Figure 2's CSV rows (header first): one row per contention level of
+/// each run.
+pub fn fig2_csv_rows(runs: &[AppRun]) -> Vec<Vec<String>> {
+    let mut rows = vec![vec![
+        "app".to_string(),
+        "policy".to_string(),
+        "level".to_string(),
+        "percentage".to_string(),
+    ]];
+    for r in runs {
+        for (level, _) in r.contention.iter() {
+            rows.push(vec![
+                r.app.label().to_string(),
+                r.bar.policy.label().to_string(),
+                level.to_string(),
+                format!("{:.4}", r.contention.percentage(level)),
+            ]);
+        }
+    }
+    rows
+}
+
+/// Figure 6's CSV rows (header first): total cycles per run.
+pub fn fig6_csv_rows(runs: &[AppRun]) -> Vec<Vec<String>> {
+    let mut rows = vec![vec![
+        "app".to_string(),
+        "implementation".to_string(),
+        "total_cycles".to_string(),
+    ]];
+    for r in runs {
+        rows.push(vec![
+            r.app.label().to_string(),
+            r.bar.label(),
+            r.cycles.to_string(),
+        ]);
+    }
+    rows
+}
+
 /// Renders Figure 6-style output as a table of total cycles.
 pub fn render_fig6(runs: &[AppRun]) -> String {
     let mut rows = vec![vec![

@@ -194,6 +194,27 @@ pub fn run_figure(kind: CounterKind, bars: &[BarSpec], scale: &Scale) -> Vec<Cou
         .collect()
 }
 
+/// A figure's CSV rows (header first): one row per bar per graph.
+pub fn csv_rows(graphs: &[CounterGraph]) -> Vec<Vec<String>> {
+    let mut rows = vec![vec![
+        "implementation".to_string(),
+        "contention".to_string(),
+        "write_run".to_string(),
+        "avg_cycles".to_string(),
+    ]];
+    for g in graphs {
+        for p in &g.points {
+            rows.push(vec![
+                p.bar.label(),
+                g.contention.to_string(),
+                g.write_run.to_string(),
+                format!("{:.2}", p.avg_cycles),
+            ]);
+        }
+    }
+    rows
+}
+
 /// Renders a figure as an aligned text table (rows = bars, columns =
 /// graphs), as the benchmark harness prints it.
 pub fn render(kind: CounterKind, graphs: &[CounterGraph]) -> String {

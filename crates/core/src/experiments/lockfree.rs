@@ -120,6 +120,29 @@ pub fn run_tables(scale: &Scale) -> Vec<LockfreeTable> {
         .collect()
 }
 
+/// The tables' CSV rows (header first): one row per point.
+pub fn csv_rows(tables: &[LockfreeTable]) -> Vec<Vec<String>> {
+    let mut rows = vec![vec![
+        "structure".to_string(),
+        "primitive".to_string(),
+        "policy".to_string(),
+        "ops".to_string(),
+        "avg_cycles".to_string(),
+    ]];
+    for t in tables {
+        for p in &t.points {
+            rows.push(vec![
+                t.structure.label().to_string(),
+                p.prim.label().to_string(),
+                p.policy.label().to_string(),
+                p.ops.to_string(),
+                format!("{:.2}", p.avg_cycles),
+            ]);
+        }
+    }
+    rows
+}
+
 /// Renders the tables as aligned text (rows = primitives, columns =
 /// policies, cells = cycles per operation), one block per structure.
 pub fn render(tables: &[LockfreeTable]) -> String {

@@ -78,6 +78,26 @@ pub fn run_scaling_on(kind: CounterKind, rounds: u64, procs: &[u32]) -> Vec<Scal
         .collect()
 }
 
+/// The sweep's CSV rows (header first): one row per implementation per
+/// machine size.
+pub fn csv_rows(lines: &[ScalingLine]) -> Vec<Vec<String>> {
+    let mut rows = vec![vec![
+        "implementation".to_string(),
+        "procs".to_string(),
+        "avg_cycles".to_string(),
+    ]];
+    for line in lines {
+        for (p, pt) in &line.points {
+            rows.push(vec![
+                line.bar.label(),
+                p.to_string(),
+                format!("{:.2}", pt.avg_cycles),
+            ]);
+        }
+    }
+    rows
+}
+
 /// Renders the sweep as a table (rows = implementations, columns =
 /// machine sizes).
 pub fn render(lines: &[ScalingLine]) -> String {

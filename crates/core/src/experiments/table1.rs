@@ -42,6 +42,24 @@ const SCENARIO_TABLE: [Scenario; 7] = [
     ("UPD to uncached", 2, upd_uncached),
 ];
 
+/// The table's CSV rows (header first); the printed table renders the
+/// same rows.
+pub fn csv_rows(rows: &[Table1Row]) -> Vec<Vec<String>> {
+    let mut out = vec![vec![
+        "scenario".to_string(),
+        "paper".to_string(),
+        "measured".to_string(),
+    ]];
+    for r in rows {
+        out.push(vec![
+            r.scenario.to_string(),
+            r.paper.to_string(),
+            r.measured.to_string(),
+        ]);
+    }
+    out
+}
+
 /// Measures one row by index. Only the [`runner`] calls this; use
 /// [`run`] to get the whole table through the cache.
 ///

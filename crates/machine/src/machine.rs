@@ -22,7 +22,7 @@ use crate::program::{Action, ProcCtx, Program};
 use crate::stats::{MachineStats, NodeCounters};
 use dsm_mesh::{Mesh, NetPorts};
 use dsm_protocol::{
-    check_invariants, check_line, AddressMap, CacheNode, CacheState, DirState, HomeNode,
+    check_line, check_quiescent, AddressMap, CacheNode, CacheState, DirState, HomeNode,
     InvariantViolation, MemOp, Msg, OpOutcome, OpResult, Outbox, ProtocolError, ProtocolErrorKind,
     SyncConfig, Value,
 };
@@ -133,7 +133,7 @@ pub enum RunError {
         error: ProtocolError,
     },
     /// Paranoid mode found a protocol invariant violated after a
-    /// transition (or the quiescence sweep failed at run end).
+    /// transition (or the quiescent check failed at run end).
     Invariant {
         /// Time of the check that failed.
         at: Cycle,
@@ -1538,7 +1538,11 @@ impl Machine {
             self.core.dispatch(key, event)?;
         }
         if self.core.paranoid {
-            self.quiescence_check(finished)?;
+            self.validate_coherence()
+                .map_err(|violation| RunError::Invariant {
+                    at: finished,
+                    violation,
+                })?;
         }
         Ok(RunReport {
             cycles: finished,
@@ -1610,61 +1614,6 @@ impl Machine {
                 at: self.core.now,
                 window: self.watchdog,
                 procs: self.core.proc_dumps(),
-            });
-        }
-        Ok(())
-    }
-
-    /// Full paranoid sweep once the machine is quiescent: every global
-    /// invariant, message conservation (no half-done transaction may
-    /// survive a drained event queue), then the coherence oracle.
-    fn quiescence_check(&self, at: Cycle) -> Result<(), RunError> {
-        if let Some(violation) =
-            check_invariants(&self.core.caches, &self.core.homes, &self.core.map)
-                .into_iter()
-                .next()
-        {
-            return Err(RunError::Invariant { at, violation });
-        }
-        for (i, cache) in self.core.caches.iter().enumerate() {
-            if cache.busy() {
-                return Err(RunError::Invariant {
-                    at,
-                    violation: InvariantViolation {
-                        invariant: "message-conservation",
-                        line: cache.pending_line(),
-                        nodes: vec![NodeId::new(i as u32)],
-                        detail: "cache still has an outstanding request at quiescence".into(),
-                    },
-                });
-            }
-        }
-        for (i, home) in self.core.homes.iter().enumerate() {
-            if home.busy_lines() > 0 || home.queued_requests() > 0 {
-                return Err(RunError::Invariant {
-                    at,
-                    violation: InvariantViolation {
-                        invariant: "message-conservation",
-                        line: None,
-                        nodes: vec![NodeId::new(i as u32)],
-                        detail: format!(
-                            "home still busy at quiescence ({} busy lines, {} queued requests)",
-                            home.busy_lines(),
-                            home.queued_requests()
-                        ),
-                    },
-                });
-            }
-        }
-        if let Err(detail) = self.validate_coherence() {
-            return Err(RunError::Invariant {
-                at,
-                violation: InvariantViolation {
-                    invariant: "coherence",
-                    line: None,
-                    nodes: Vec::new(),
-                    detail,
-                },
             });
         }
         Ok(())
@@ -1848,10 +1797,12 @@ impl Machine {
         h.finish()
     }
 
-    /// Runs the per-transition invariant checker over the whole machine
-    /// on demand (independent of paranoid mode).
-    pub fn check_invariants(&self) -> Vec<InvariantViolation> {
-        check_invariants(&self.core.caches, &self.core.homes, &self.core.map)
+    /// Every violation [`check_quiescent`] finds in the current state;
+    /// [`validate_coherence`](Machine::validate_coherence) reports the
+    /// first. Exists so tests can pin the full list.
+    #[doc(hidden)]
+    pub fn coherence_violations(&self) -> Vec<InvariantViolation> {
+        check_quiescent(&self.core.caches, &self.core.homes, &self.core.map)
     }
 
     /// Test-only corruption hook: illegally promotes a Shared copy of
@@ -1867,12 +1818,6 @@ impl Machine {
     /// [`MachineBuilder::with_trace`] or [`RunEnv::trace`]).
     pub fn tracer(&self) -> Option<&Tracer> {
         self.core.tracer.as_deref()
-    }
-
-    /// Mutable access to the tracer, e.g. to attach a custom
-    /// [`TraceSink`](dsm_trace::TraceSink) before running.
-    pub fn tracer_mut(&mut self) -> Option<&mut Tracer> {
-        self.core.tracer.as_deref_mut()
     }
 
     /// Attaches a tracer to an already-built machine, replacing any
@@ -1907,96 +1852,19 @@ impl Machine {
         &self.trace_files
     }
 
-    /// Checks coherence invariants. Only valid when the machine is
-    /// quiescent (after [`run`](Machine::run) returns successfully).
+    /// Checks every coherence invariant of the quiescent machine (after
+    /// [`run`](Machine::run) returns successfully): the per-line rules
+    /// the paranoid mode checks per transition plus exact
+    /// directory/cache agreement, shared-copy values and message
+    /// conservation (see [`dsm_protocol::invariant`]).
     ///
     /// # Errors
     ///
-    /// Returns a description of the first violated invariant:
-    /// single-writer/multiple-reader, directory/cache agreement, and
-    /// value agreement between shared copies and memory.
-    pub fn validate_coherence(&self) -> Result<(), String> {
-        use std::collections::HashMap;
-        let mut copies: HashMap<dsm_sim::LineAddr, Vec<(NodeId, CacheState)>> = HashMap::new();
-        for (i, cache) in self.core.caches.iter().enumerate() {
-            for (line, state) in cache.cached_lines() {
-                copies
-                    .entry(line)
-                    .or_default()
-                    .push((NodeId::new(i as u32), state));
-            }
+    /// Returns the first violation, ordered by line then invariant name.
+    pub fn validate_coherence(&self) -> Result<(), InvariantViolation> {
+        match self.coherence_violations().into_iter().next() {
+            Some(violation) => Err(violation),
+            None => Ok(()),
         }
-        for (line, holders) in &copies {
-            let exclusives: Vec<NodeId> = holders
-                .iter()
-                .filter(|(_, s)| *s == CacheState::Exclusive)
-                .map(|(n, _)| *n)
-                .collect();
-            if exclusives.len() > 1 {
-                return Err(format!(
-                    "line {line}: multiple exclusive copies {exclusives:?}"
-                ));
-            }
-            if exclusives.len() == 1 && holders.len() > 1 {
-                return Err(format!(
-                    "line {line}: exclusive copy at {} coexists with shared copies",
-                    exclusives[0]
-                ));
-            }
-            let home = line.home(self.core.cfg.nodes);
-            let dir = self.core.homes[home.index()].dir_state(*line);
-            match (&dir, exclusives.first()) {
-                (DirState::Dirty(owner), Some(e)) if owner == e => {}
-                (DirState::Dirty(owner), _) => {
-                    return Err(format!(
-                        "line {line}: directory says dirty at {owner} but cache state disagrees"
-                    ));
-                }
-                (DirState::Shared(sharers), None) => {
-                    for (n, _) in holders {
-                        if !sharers.contains(*n) {
-                            return Err(format!(
-                                "line {line}: {n} holds a shared copy unknown to the directory"
-                            ));
-                        }
-                    }
-                    // Shared copies must match memory.
-                    let base = line.base(self.core.cfg.params.line_size);
-                    for w in 0..(self.core.cfg.params.line_size / 8) {
-                        let addr = base + w * 8;
-                        let mem = self.core.homes[home.index()].peek_word(addr);
-                        for (n, _) in holders {
-                            let cached = self.core.caches[n.index()]
-                                .peek_word(addr)
-                                .expect("holder has the line");
-                            if cached != mem {
-                                return Err(format!(
-                                    "line {line} word {w}: {n} caches {cached}, memory has {mem}"
-                                ));
-                            }
-                        }
-                    }
-                }
-                (DirState::Uncached, None) => {
-                    // Silently evicted shared copies leave stale sharers,
-                    // never stale cached copies; a cached copy with an
-                    // Uncached directory is a bug.
-                    return Err(format!(
-                        "line {line}: cached copies but directory is uncached"
-                    ));
-                }
-                (DirState::Shared(_), Some(e)) => {
-                    return Err(format!(
-                        "line {line}: directory says shared but {e} holds it exclusively"
-                    ));
-                }
-                (DirState::Uncached, Some(e)) => {
-                    return Err(format!(
-                        "line {line}: directory says uncached but {e} holds it exclusively"
-                    ));
-                }
-            }
-        }
-        Ok(())
     }
 }

@@ -77,7 +77,7 @@ pub use data::LineData;
 pub use directory::{DirEntry, DirState};
 pub use error::{ProtocolError, ProtocolErrorKind};
 pub use home::{HomeNode, Outbox};
-pub use invariant::{check_invariants, check_line, InvariantViolation};
+pub use invariant::{check_line, check_quiescent, InvariantViolation};
 pub use msg::{Msg, MsgKind};
 pub use nodeset::NodeSet;
 pub use reservation::{CacheReservation, LlGrant, ReservationStore};

@@ -9,8 +9,10 @@
 //! relies on; everything else is unordered).
 //!
 //! At every quiescent leaf the harness checks:
-//! * single-writer/multiple-reader and directory/cache agreement;
-//! * value agreement between shared copies and memory;
+//! * every rule of the protocol's quiescent check
+//!   (`dsm_protocol::check_quiescent`): single writer, exact
+//!   directory/cache agreement, shared copies equal memory, nothing in
+//!   flight;
 //! * script-specific atomicity postconditions (counter totals, "exactly
 //!   one CAS/SC wins", final memory values).
 //!
@@ -19,10 +21,10 @@
 //! timing model happens to produce.
 
 use dsm_protocol::{
-    AddressMap, CacheNode, CacheState, DirState, HomeNode, MemOp, Msg, OpResult, Outbox, PhiOp,
-    SyncConfig, SyncPolicy,
+    check_quiescent, AddressMap, CacheNode, DirState, HomeNode, MemOp, Msg, OpResult, Outbox,
+    PhiOp, SyncConfig, SyncPolicy,
 };
-use dsm_sim::{Addr, CacheParams, LineAddr, NodeId};
+use dsm_sim::{Addr, CacheParams, NodeId};
 
 const LINE_SIZE: u64 = 32;
 const HOME: usize = 0;
@@ -148,62 +150,6 @@ impl World {
         self.kick_procs(map);
     }
 
-    /// Quiescent-state coherence invariants (mirrors
-    /// `Machine::validate_coherence`, for this harness's single home).
-    fn check_coherence(&self) {
-        use std::collections::HashMap;
-        let mut copies: HashMap<LineAddr, Vec<(usize, CacheState)>> = HashMap::new();
-        for (i, c) in self.caches.iter().enumerate() {
-            for (line, state) in c.cached_lines() {
-                copies.entry(line).or_default().push((i, state));
-            }
-        }
-        for (line, holders) in &copies {
-            let excl: Vec<usize> = holders
-                .iter()
-                .filter(|(_, s)| *s == CacheState::Exclusive)
-                .map(|(n, _)| *n)
-                .collect();
-            assert!(
-                excl.len() <= 1,
-                "line {line}: two exclusive copies {excl:?}"
-            );
-            if excl.len() == 1 {
-                assert_eq!(holders.len(), 1, "line {line}: E coexists with S");
-            }
-            match self.home.dir_state(*line) {
-                DirState::Dirty(owner) => {
-                    assert_eq!(excl.first().copied(), Some(owner.index()), "line {line}");
-                }
-                DirState::Shared(sharers) => {
-                    assert!(
-                        excl.is_empty(),
-                        "line {line}: dir Shared but an E copy exists"
-                    );
-                    for (n, _) in holders {
-                        assert!(
-                            sharers.contains(NodeId::new(*n as u32)),
-                            "line {line}: node {n} holds an unknown shared copy"
-                        );
-                        // Shared copies agree with memory.
-                        let base = line.base(LINE_SIZE);
-                        for w in 0..LINE_SIZE / 8 {
-                            let a = base + w * 8;
-                            assert_eq!(
-                                self.caches[*n].peek_word(a),
-                                Some(self.home.peek_word(a)),
-                                "line {line} word {w}: shared copy differs from memory"
-                            );
-                        }
-                    }
-                }
-                DirState::Uncached => {
-                    assert!(holders.is_empty(), "line {line}: cached but dir Uncached");
-                }
-            }
-        }
-    }
-
     /// The logical current value of a word.
     fn value_of(&self, addr: Addr) -> u64 {
         let line = addr.line(LINE_SIZE);
@@ -230,7 +176,9 @@ impl Explorer {
                 "state space larger than expected (> {} leaves)",
                 self.max_leaves
             );
-            world.check_coherence();
+            let violations =
+                check_quiescent(&world.caches, std::slice::from_ref(&world.home), &self.map);
+            assert!(violations.is_empty(), "{violations:#?}");
             (self.check)(world);
             return;
         }

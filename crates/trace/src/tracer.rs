@@ -36,7 +36,6 @@ pub struct Tracer {
     cats: Categories,
     perfetto: Option<PerfettoSink>,
     ring: Option<RingSink>,
-    extra: Vec<Box<dyn TraceSink>>,
     perfetto_out: Option<PathBuf>,
     ring_out: Option<PathBuf>,
     /// Per-(src,dst) queues of in-flight flow ids. The mesh delivers
@@ -69,7 +68,6 @@ impl std::fmt::Debug for Tracer {
             .field("cats", &self.cats)
             .field("perfetto", &self.perfetto.is_some())
             .field("ring", &self.ring.is_some())
-            .field("extra_sinks", &self.extra.len())
             .field("next_flow", &self.next_flow)
             .finish()
     }
@@ -82,7 +80,6 @@ impl Tracer {
             cats: spec.cats,
             perfetto: spec.perfetto.then(|| PerfettoSink::new(nodes)),
             ring: spec.ring.map(RingSink::new),
-            extra: Vec::new(),
             perfetto_out: spec.out.clone(),
             // A ring without its own path follows the Perfetto output
             // (only the extension differs), so one `perfetto:DIR,ring`
@@ -104,12 +101,6 @@ impl Tracer {
         }
     }
 
-    /// Attaches an additional custom sink (receives every enabled
-    /// event, after the built-in sinks).
-    pub fn add_sink(&mut self, sink: Box<dyn TraceSink>) {
-        self.extra.push(sink);
-    }
-
     /// Whether events of `cat` are being recorded. Instrumentation
     /// sites with any preparation cost (state probes, queue scans)
     /// check this before doing the work.
@@ -124,9 +115,6 @@ impl Tracer {
         }
         if let Some(r) = &mut self.ring {
             r.record(ev);
-        }
-        for s in &mut self.extra {
-            s.record(ev);
         }
     }
 

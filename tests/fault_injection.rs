@@ -129,8 +129,6 @@ fn run_counter(
         .run(LIMIT)
         .unwrap_or_else(|e| panic!("faulted {policy} run failed: {e}"));
     m.validate_coherence().expect("coherent after faulted run");
-    let violations = m.check_invariants();
-    assert!(violations.is_empty(), "{violations:?}");
     assert_eq!(
         m.read_word(counter),
         u64::from(nodes) * iters,
@@ -289,7 +287,6 @@ fn lockfree_stack_survives_heavy_faults() {
     let mut m = b.build();
     m.run(LIMIT).expect("faulted stack stress completes");
     m.validate_coherence().unwrap();
-    assert!(m.check_invariants().is_empty());
 
     let mut remaining = Vec::new();
     let mut cursor = match StackPrim::Llsc {
@@ -363,24 +360,32 @@ fn corruption_is_caught_as_structured_diagnostic() {
     }
     let mut m = b.build();
     m.run(LIMIT).expect("load run completes");
-    assert!(m.check_invariants().is_empty());
+    m.validate_coherence().unwrap();
 
     let line = shared.line(32);
     assert!(m.corrupt_promote_shared(atomic_dsm::sim::NodeId::new(0), line));
     assert!(m.corrupt_promote_shared(atomic_dsm::sim::NodeId::new(1), line));
-    let violations = m.check_invariants();
-    assert_eq!(violations.len(), 1, "{violations:?}");
-    let v = &violations[0];
-    assert_eq!(v.invariant, "single-writer");
-    assert_eq!(v.line, Some(line));
+    let violations = m.coherence_violations();
+    let found: Vec<(&str, Option<_>, Vec<u32>)> = violations
+        .iter()
+        .map(|v| {
+            (
+                v.invariant,
+                v.line,
+                v.nodes.iter().map(|n| n.as_u32()).collect(),
+            )
+        })
+        .collect();
     assert_eq!(
-        v.nodes,
+        found,
         vec![
-            atomic_dsm::sim::NodeId::new(0),
-            atomic_dsm::sim::NodeId::new(1)
-        ]
+            ("directory-agreement", Some(line), vec![0]),
+            ("directory-agreement", Some(line), vec![1]),
+            ("single-writer", Some(line), vec![0, 1]),
+        ],
+        "{violations:?}"
     );
-    assert!(m.validate_coherence().is_err());
+    assert_eq!(m.validate_coherence(), Err(violations[0].clone()));
 }
 
 /// One failing job reports its own `JobError` without aborting its
@@ -500,5 +505,40 @@ fn corrupted_lines_never_yield_a_silent_wrong_value() {
     assert!(
         caught > 0 && correct > 0,
         "caught {caught}, correct {correct}"
+    );
+}
+
+/// The mutation gate over Figure 3's lock-free counters: INV FAΦ, INV
+/// CAS and INV LL/SC, each on 4 processors at c=4, a=1 for 16 rounds,
+/// with `corrupt=2000,period=64` and paranoid checking, over the fixed
+/// seeds 0..100. Every run either counts every update (the job's own
+/// final-value check) or stops with an invariant violation; lost
+/// updates or any other failure fail the gate.
+#[test]
+fn corrupted_figure3_counters_are_caught_or_correct() {
+    let prims = [Primitive::FetchPhi, Primitive::Cas, Primitive::Llsc];
+    let mut jobs = Vec::new();
+    for prim in prims {
+        for seed in 0..100 {
+            let mut mcfg = MachineConfig::with_nodes(4);
+            mcfg.seed = seed;
+            mcfg.faults = FaultConfig::from_spec("corrupt=2000,period=64").unwrap();
+            mcfg.faults.paranoid = true;
+            let bar = BarSpec::new(SyncPolicy::Inv, prim);
+            jobs.push(Job::counter(mcfg, CounterKind::LockFree, bar, 4, 1.0, 16));
+        }
+    }
+    let mut counts = [(0, 0); 3]; // (correct, caught) per primitive
+    for (i, result) in runner::try_run_all(&jobs).into_iter().enumerate() {
+        match result {
+            Ok(_) => counts[i / 100].0 += 1,
+            Err(e) if e.message.contains("invariant violated") => counts[i / 100].1 += 1,
+            Err(e) => panic!("{e}"),
+        }
+    }
+    eprintln!("(correct, caught) for INV FAΦ, CAS, LL/SC: {counts:?}");
+    assert!(
+        counts.iter().map(|c| c.1).sum::<u32>() > 0,
+        "no corruption was caught: {counts:?}"
     );
 }
