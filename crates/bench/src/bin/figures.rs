@@ -38,13 +38,16 @@
 //! (Perfetto JSON into `traces/` by default — see
 //! `dsm_trace::TraceSpec` for the SPEC grammar). Trace files are
 //! content-addressed and byte-identical across `--jobs` settings.
+//! Timing goes to stderr and ends with a `[total: …]` line; with a disk
+//! cache (`DSM_CACHE_DIR`) a `[disk cache: H hits, S stored, Q
+//! quarantined]` line follows it.
 //! An unknown option or artifact exits 2 with the usage text on stderr
 //! before anything runs.
 //!
 //! `figures repro FILE` replays a minimal reproducer artifact emitted
-//! by the supervision layer (`DSM_REPRO_DIR`): it pins the recorded
-//! fault configuration, protocol spec and minimal fault schedule, and
-//! reports whether the recorded deterministic failure recurs.
+//! by the runner (`DSM_REPRO_DIR`): it pins the recorded fault
+//! configuration, protocol spec and minimal fault schedule, and reports
+//! whether the recorded failure recurs.
 //!
 //! `figures analyze FILE...` runs the trace-analytics engine
 //! (`dsm-analyze`) over binary ring dumps captured with
@@ -105,8 +108,8 @@ fn write_csv(dir: &Option<PathBuf>, name: &str, rows: &[Vec<String>]) {
 }
 
 /// `figures repro FILE`: replays a minimal reproducer emitted by the
-/// supervision layer (see `DSM_REPRO_DIR` in EXPERIMENTS.md). Exit 0
-/// when the recorded deterministic failure recurs, 1 when it does not,
+/// runner (see `DSM_REPRO_DIR` in EXPERIMENTS.md). Exit 0 when the
+/// recorded failure recurs, 1 when it does not,
 /// 2 on an unreadable artifact.
 fn replay_reproducer(path: &str) -> ! {
     use atomic_dsm::experiments::repro;
@@ -258,6 +261,7 @@ fn main() {
     // byte-identical. Request those tables by name.
     env.faults.paranoid = paranoid;
     let workers = env.workers();
+    let disk_cache = env.cache_dir.is_some();
     let wanted: Vec<&str> = if wanted.is_empty() || wanted.contains(&"all") {
         vec!["table1", "fig2", "fig3", "fig4", "fig5", "fig6", "scaling"]
     } else {
@@ -406,4 +410,11 @@ fn main() {
         st.cache_hits,
         st.cycles_simulated
     );
+    // On its own line: the `[total: …]` line's format is parsed as is.
+    if disk_cache {
+        eprintln!(
+            "[disk cache: {} hits, {} stored, {} quarantined]",
+            st.disk_hits, st.disk_stores, st.disk_quarantined
+        );
+    }
 }

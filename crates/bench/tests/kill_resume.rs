@@ -55,6 +55,15 @@ fn simulated(out: &Output) -> usize {
     before.rsplit(' ').next().unwrap().parse().unwrap()
 }
 
+/// The `H` of the `[disk cache: H hits, …]` line, if there is one.
+fn disk_hits(out: &Output) -> Option<usize> {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let line = stderr
+        .lines()
+        .find_map(|l| l.strip_prefix("[disk cache: "))?;
+    Some(line.split(' ').next().unwrap().parse().unwrap())
+}
+
 /// The `X` of the last `dsm-runner: X/Y jobs done` progress line.
 fn jobs_done(stderr: &str) -> usize {
     stderr
@@ -75,13 +84,15 @@ fn succeeded(out: Output, what: &str) -> Output {
 }
 
 /// Uninterrupted reference → killed run → re-run on the killed run's
-/// cache: identical stdout, and the re-run simulates `N − k` jobs. The
+/// cache: identical stdout, and the re-run simulates `N − k` jobs and
+/// serves the other `k` from disk. The
 /// killed run (one worker) must have stored every job it finished but
 /// the last. Returns `(N, k)`.
 fn kill_and_resume(args: &[&str], name: &str) -> (usize, usize) {
     let reference = succeeded(figures().args(args).output().unwrap(), "reference run");
     let total = simulated(&reference);
     assert!(total > 0, "reference run simulated nothing");
+    assert_eq!(disk_hits(&reference), None, "no cache, no disk-cache line");
 
     let cache = scratch(name);
     let mut child = figures()
@@ -132,6 +143,11 @@ fn kill_and_resume(args: &[&str], name: &str) -> (usize, usize) {
         simulated(&rerun),
         total - stored,
         "every stored job must be served from disk ({stored} entries)"
+    );
+    assert_eq!(
+        disk_hits(&rerun),
+        Some(stored),
+        "disk hits must be reported"
     );
     let _ = std::fs::remove_dir_all(&cache);
     (total, stored)

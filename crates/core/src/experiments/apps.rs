@@ -5,7 +5,7 @@
 //! Closure under each coherence policy. Figure 6 reports total elapsed
 //! time for the same applications across the implementation bar set.
 
-use crate::experiments::runner::{self, Job, JobOutput, PreparedRun, SimFailure};
+use crate::experiments::runner::{self, Job, JobOutput, PreparedRun};
 use crate::experiments::{BarSpec, Scale};
 use dsm_protocol::SyncPolicy;
 use dsm_sim::{Cycle, MachineConfig};
@@ -62,7 +62,7 @@ const RUN_LIMIT: Cycle = Cycle::new(50_000_000_000);
 
 /// Post-run output check installed by each application builder. Reports
 /// a wrong answer as a diagnostic instead of panicking, so a corrupted
-/// run (e.g. under fault injection) stays a recoverable [`SimFailure`].
+/// run (e.g. under fault injection) stays a recoverable job failure.
 type OutputCheck = Box<dyn FnOnce(&dsm_machine::Machine) -> Result<(), String>>;
 
 /// Runs one application under one implementation, verifying its output.
@@ -170,8 +170,8 @@ pub(crate) fn prepare(app: App, bar: &BarSpec, scale: &Scale, seed: u64) -> Prep
         finish: Box::new(move |machine, report| {
             machine
                 .validate_coherence()
-                .map_err(|e| SimFailure::deterministic(format!("{err_label}: coherence: {e}")))?;
-            check(machine).map_err(|e| SimFailure::deterministic(format!("{err_label}: {e}")))?;
+                .map_err(|e| format!("{err_label}: coherence: {e}"))?;
+            check(machine).map_err(|e| format!("{err_label}: {e}"))?;
             let stats = machine.stats();
             Ok(JobOutput::App(AppRun {
                 app,

@@ -2,7 +2,7 @@
 //! synthetic counter applications, across the full implementation bar
 //! set, for the paper's contention and write-run sweeps.
 
-use crate::experiments::runner::{self, Job, JobOutput, PreparedRun, SimFailure};
+use crate::experiments::runner::{self, Job, JobOutput, PreparedRun};
 use crate::experiments::{BarSpec, Scale};
 use dsm_sim::{Cycle, MachineConfig};
 use dsm_workloads::{build_synthetic, CounterKind, SyntheticConfig};
@@ -125,10 +125,10 @@ pub(crate) fn prepare(
         finish: Box::new(move |machine, report| {
             let counted = machine.read_word(layout.counter);
             if counted != updates {
-                return Err(SimFailure::deterministic(format!(
+                return Err(format!(
                     "{}: counter lost updates ({counted} of {updates})",
                     bar.label()
-                )));
+                ));
             }
             Ok(JobOutput::Counter(CounterPoint {
                 bar,

@@ -30,10 +30,10 @@
 //!   (including the machine's fault configuration, which the seed
 //!   fingerprint deliberately omits); a fingerprint collision holds a
 //!   different key and reads as a miss, not a wrong result.
-//! * **Failure policy** — deterministic failures (protocol errors,
-//!   invariant violations, lost updates) persist like successes: they
-//!   are a property of the job key and re-simulating them wastes time.
-//!   Transient failures (wall-clock budget) are never written.
+//! * **Failure policy** — failures (protocol errors, invariant
+//!   violations, livelocks, lost updates) persist like successes: every
+//!   outcome is a property of the job key, and re-simulating a failure
+//!   wastes time.
 //!
 //! Table 1 rows are never persisted: their directed micro-machines
 //! regenerate in microseconds and their labels are static strings.
@@ -57,10 +57,10 @@ use dsm_workloads::LfStructure;
 use std::path::Path;
 use std::sync::atomic::Ordering;
 
-/// A hash of the simulator's model sources: the `sim`, `mesh`,
-/// `protocol`, `machine`, `sync` and `workloads` crates and
-/// `core/src/experiments`, computed by `crates/core/build.rs`. Any edit
-/// to those sources changes it.
+/// A hash of the simulator's model sources: every `crates/*/src` but
+/// those of the few crates no job result can depend on (`bench`,
+/// `analyze`, `mint`), computed by `crates/core/build.rs`. Any edit to
+/// those sources changes it.
 pub const MODEL_FINGERPRINT: u64 = include!(concat!(env!("OUT_DIR"), "/model_fingerprint.rs"));
 
 /// The entry file name for a canonically encoded key: its 64-bit
@@ -110,20 +110,14 @@ pub(crate) fn load(dir: &Path, env: &EnvKey, job: &Job) -> Option<JobResult> {
     }
 }
 
-/// Persists one job's result under `env` in the store at `dir`, if it is
-/// persistable: the job must not be Table 1, and the result must not be
-/// a transient failure. Persistence is best-effort — an I/O error is
+/// Persists one job's result under `env` in the store at `dir`, unless
+/// the job is Table 1. Persistence is best-effort — an I/O error is
 /// reported to stderr and the run continues; the entry is simply
 /// re-simulated by the next process. Safe to call from several threads
 /// at once for distinct jobs: each entry has its own temporary file.
 pub(crate) fn store(dir: &Path, env: &EnvKey, job: &Job, result: &JobResult) {
     if matches!(job, Job::Table1 { .. }) {
         return;
-    }
-    if let Err(e) = result {
-        if e.transient {
-            return;
-        }
     }
     let key_bytes = encode_key(MODEL_FINGERPRINT, env, job);
     let path = dir.join(file_name(&key_bytes));
@@ -701,9 +695,6 @@ fn decode_entry(bytes: &[u8], want: &[u8]) -> Result<Option<JobResult>, Snapshot
         1 => Err(JobError {
             job: r.take_str()?,
             message: r.take_str()?,
-            // Transient failures are never persisted, so whatever is on
-            // disk is deterministic by construction.
-            transient: false,
         }),
         t => return Err(bad_tag("result", t)),
     };
@@ -822,7 +813,6 @@ mod tests {
             &Err(JobError {
                 job: "x".into(),
                 message: "deterministic failure".into(),
-                transient: false,
             }),
         );
         // Same entry asked for by a different job: miss, not corruption.
@@ -919,7 +909,6 @@ mod tests {
         let out = Err(JobError {
             job: "x".into(),
             message: "the old model's result".into(),
-            transient: false,
         });
         let payload = encode_entry(&old_key, &out);
         snapshot::write_atomic(&old_path, PayloadKind::CacheEntry, &payload).unwrap();
@@ -936,18 +925,18 @@ mod tests {
     }
 
     #[test]
-    fn transient_failures_and_table1_are_never_persisted() {
+    fn failures_persist_and_table1_rows_never_do() {
         let dir = std::env::temp_dir().join(format!("dsm-diskcache-tr-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
+        let failure = JobError {
+            job: "j".into(),
+            message: "livelock".into(),
+        };
         store(
             &dir,
             &EnvKey::default(),
             &counter_job(false),
-            &Err(JobError {
-                job: "j".into(),
-                message: "wall-clock budget exhausted".into(),
-                transient: true,
-            }),
+            &Err(failure.clone()),
         );
         store(
             &dir,
@@ -957,11 +946,46 @@ mod tests {
                 0,
             ))),
         );
-        assert!(
-            !dir.exists() || std::fs::read_dir(&dir).unwrap().next().is_none(),
-            "nothing may be written for transient failures or table-1 rows"
+        let back = load(&dir, &EnvKey::default(), &counter_job(false));
+        assert_eq!(back.expect("a failure must persist").unwrap_err(), failure);
+        assert_eq!(
+            std::fs::read_dir(&dir).unwrap().count(),
+            1,
+            "nothing may be written for table-1 rows"
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The crates the fingerprint hashes and those it leaves out, as
+    /// `crates/core/build.rs` found them.
+    const MODEL_CRATES: (&[&str], &[&str]) = include!(concat!(env!("OUT_DIR"), "/model_crates.rs"));
+
+    #[test]
+    fn fingerprint_covers_every_model_dependency() {
+        let (hashed, unhashed) = MODEL_CRATES;
+        // Job results carry `dsm-stats` values, and lock-free jobs run
+        // `dsm-trace`'s linearizability checker.
+        for name in ["core", "machine", "stats", "trace"] {
+            assert!(hashed.contains(&name), "{name} must be hashed: {hashed:?}");
+        }
+        let manifest = include_str!("../../Cargo.toml");
+        let deps = manifest
+            .split("[dependencies]")
+            .nth(1)
+            .and_then(|rest| rest.split("\n[").next())
+            .expect("a [dependencies] table");
+        let dsm: Vec<&str> = deps
+            .lines()
+            .filter_map(|line| line.trim().strip_prefix("dsm-"))
+            .filter_map(|rest| rest.split(['.', ' ', '=']).next())
+            .collect();
+        assert!(dsm.len() >= 8, "dependencies not found: {deps}");
+        for name in dsm {
+            assert!(
+                hashed.contains(&name) || unhashed.contains(&name),
+                "dependency dsm-{name} is neither hashed nor excluded: {MODEL_CRATES:?}"
+            );
+        }
     }
 
     #[test]

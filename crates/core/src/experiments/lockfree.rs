@@ -15,7 +15,7 @@
 //! linearizability checking lives in `tests/linearizability.rs`; this
 //! module is the benchmark surface.
 
-use crate::experiments::runner::{self, Job, JobOutput, PreparedRun, SimFailure};
+use crate::experiments::runner::{self, Job, JobOutput, PreparedRun};
 use crate::experiments::Scale;
 use dsm_protocol::{SyncConfig, SyncPolicy};
 use dsm_sim::{Cycle, MachineConfig};
@@ -204,9 +204,9 @@ pub(crate) fn prepare(
         finish: Box::new(move |machine, report| {
             machine
                 .validate_coherence()
-                .map_err(|e| SimFailure::deterministic(format!("{err_label}: coherence: {e}")))?;
+                .map_err(|e| format!("{err_label}: coherence: {e}"))?;
             check_invariants(machine, &cfg, &run)
-                .map_err(|e| SimFailure::deterministic(format!("{err_label}: invariant: {e}")))?;
+                .map_err(|e| format!("{err_label}: invariant: {e}"))?;
             let ops = run.history.lock().unwrap().len() as u64;
             Ok(JobOutput::Lockfree(LockfreePoint {
                 structure,

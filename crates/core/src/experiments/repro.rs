@@ -24,7 +24,7 @@
 //! ```
 //!
 //! The experiment [`runner`] emits these artifacts automatically for
-//! every deterministic failure when the run environment names a
+//! every failure when the run environment names a
 //! reproducer directory ([`RunEnv::repro_dir`], `DSM_REPRO_DIR`),
 //! together with a plain-text dump of the failure diagnostic, the
 //! applied fault schedule and the machine's final state digest. The
@@ -33,7 +33,7 @@
 //! replaying process has.
 
 use crate::experiments::diskcache;
-use crate::experiments::runner::{self, Job, JobOutput, SimFailure};
+use crate::experiments::runner::{self, Job, JobOutput};
 use dsm_machine::{EnvKey, Machine, RunEnv};
 use dsm_sim::snapshot::{self, ByteReader, ByteWriter, PayloadKind, SnapshotError};
 use dsm_sim::{FaultFilter, FaultRecord};
@@ -97,10 +97,9 @@ impl From<SnapshotError> for ReproError {
 /// The outcome of replaying a [`Reproducer`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Replay {
-    /// Whether the replay failed deterministically, as the reproducer
-    /// promised. (The exact diagnostic may drift across code changes;
-    /// reproduction means *a* deterministic failure, not a string
-    /// match.)
+    /// Whether the replay failed, as the reproducer promised. (The
+    /// exact diagnostic may drift across code changes; reproduction
+    /// means *a* failure, not a string match.)
     pub reproduced: bool,
     /// The replay's own diagnostic (or a success note).
     pub message: String,
@@ -171,14 +170,14 @@ pub fn load(path: &Path) -> Result<Reproducer, ReproError> {
     })
 }
 
-/// Runs one case: the job under `env` alone (no trace, no wall-clock
-/// budget) with an optional candidate filter, returning the simulation
-/// outcome and the fault record. `None` for Table 1 jobs.
+/// Runs one case: the job under `env` alone (no trace) with an optional
+/// candidate filter, returning the simulation outcome and the fault
+/// record. `None` for Table 1 jobs.
 fn run_case(
     job: &Job,
     env: &EnvKey,
     filter: Option<&[(u64, u64)]>,
-) -> Option<(Result<JobOutput, SimFailure>, FaultRecord)> {
+) -> Option<(Result<JobOutput, String>, FaultRecord)> {
     let env = RunEnv {
         faults: env.faults.clone(),
         proto: env.proto,
@@ -193,22 +192,18 @@ fn run_case(
         let finish = p.finish;
         let res = match p.machine.run(p.limit) {
             Ok(report) => finish(&mut p.machine, report),
-            Err(e) => Err(SimFailure::from_run(&p.label, &e)),
+            Err(e) => Err(format!("{}: {e}", p.label)),
         };
         let record = p.machine.fault_record().cloned().unwrap_or_default();
         Some((res, record))
     })
 }
 
-/// Returns the failure message if the case fails *deterministically*
-/// with exactly the faults in `subset` allowed.
+/// Returns the failure message if the case fails with exactly the
+/// faults in `subset` allowed.
 fn fails_with(job: &Job, env: &EnvKey, subset: &[u64]) -> Option<String> {
     let filter = FaultFilter::from_indices(subset);
-    let (res, _) = run_case(job, env, Some(filter.ranges()))?;
-    match res {
-        Err(f) if !f.transient => Some(f.message),
-        _ => None,
-    }
+    run_case(job, env, Some(filter.ranges()))?.0.err()
 }
 
 /// Upper bound on shrinking test runs. Each ddmin probe is a full
@@ -273,12 +268,12 @@ fn ddmin(
     (current, message)
 }
 
-/// Shrinks a deterministically failing job to a minimal reproducer.
+/// Shrinks a failing job to a minimal reproducer.
 ///
 /// Runs the job once to capture the failure and the applied fault
 /// schedule, then delta-debugs the schedule down to a minimal subset
-/// that still triggers a deterministic failure. Returns `None` when the
-/// job succeeds, fails only transiently, or is a Table 1 job. When the
+/// that still triggers a failure. Returns `None` when the job succeeds
+/// or is a Table 1 job. When the
 /// schedule was capped (heavier runs than [`dsm_sim::fault`] records in
 /// full) the reproducer carries no filter: it replays the unshrunk
 /// failure, which is still deterministic.
@@ -288,10 +283,7 @@ pub fn shrink(job: &Job) -> Option<Reproducer> {
         proto: RunEnv::current().proto,
     };
     let (res, record) = run_case(job, &env, None)?;
-    let failure = match res {
-        Err(f) if !f.transient => f,
-        _ => return None,
-    };
+    let failure = res.err()?;
     let full: Vec<u64> = record.schedule.iter().map(|&(i, _, _)| i).collect();
     let complete = full.len() as u64 == record.applied;
     if full.is_empty() || !complete {
@@ -299,7 +291,7 @@ pub fn shrink(job: &Job) -> Option<Reproducer> {
             job: job.clone(),
             env,
             filter: None,
-            message: failure.message,
+            message: failure,
         });
     }
     let mut budget = SHRINK_BUDGET;
@@ -314,7 +306,7 @@ pub fn shrink(job: &Job) -> Option<Reproducer> {
     // empty — don't ddmin toward it, just verify once.
     let (minimal, message) = match fails_with(job, &env, &[]) {
         Some(msg) => (Vec::new(), msg),
-        None => ddmin(full, failure.message, test),
+        None => ddmin(full, failure, test),
     };
     Some(Reproducer {
         job: job.clone(),
@@ -325,7 +317,7 @@ pub fn shrink(job: &Job) -> Option<Reproducer> {
 }
 
 /// Replays a reproducer: runs its job under its pinned environment key
-/// and filter, and reports whether the deterministic failure recurred.
+/// and filter, and reports whether the failure recurred.
 ///
 /// # Errors
 ///
@@ -336,13 +328,9 @@ pub fn replay(rep: &Reproducer) -> Result<Replay, ReproError> {
         return Err(ReproError::Unsupported(format!("{:?}", rep.job)));
     };
     Ok(match res {
-        Err(f) if !f.transient => Replay {
+        Err(message) => Replay {
             reproduced: true,
-            message: f.message,
-        },
-        Err(f) => Replay {
-            reproduced: false,
-            message: format!("transient failure (not the recorded one): {}", f.message),
+            message,
         },
         Ok(_) => Replay {
             reproduced: false,
@@ -351,21 +339,13 @@ pub fn replay(rep: &Reproducer) -> Result<Replay, ReproError> {
     })
 }
 
-/// Emits failure artifacts for a deterministic failure and annotates
+/// Emits failure artifacts for a failure and annotates
 /// its message with their paths: a plain-text dump (diagnostic, applied
 /// fault schedule, final state digest — the livelock watchdog's
 /// per-processor blocked-on dump lands here too) and a shrunk,
 /// replayable reproducer. Best-effort: emission problems are reported
 /// to stderr and never turn into job failures of their own.
-pub(crate) fn emit(
-    job: &Job,
-    machine: &Machine,
-    mut failure: SimFailure,
-    dir: &Path,
-) -> SimFailure {
-    if failure.transient {
-        return failure;
-    }
+pub(crate) fn emit(job: &Job, machine: &Machine, mut failure: String, dir: &Path) -> String {
     if let Err(e) = std::fs::create_dir_all(dir) {
         eprintln!(
             "dsm-repro: cannot create reproducer dir {}: {e}",
@@ -380,7 +360,7 @@ pub(crate) fn emit(
     let mut text = format!(
         "{}\n\njob: {:?}\nfaults: {} paranoid={}\nproto: {:?}\nstate digest: {:016x}\n\
          events processed: {}\nfault candidates drawn: {}\nfaults applied: {}\n",
-        failure.message,
+        failure,
         job,
         machine.fault_config().to_spec(),
         machine.fault_config().paranoid,
@@ -407,7 +387,7 @@ pub(crate) fn emit(
                 let kept = rep
                     .allowed_faults()
                     .map_or_else(|| "all".into(), |n| n.to_string());
-                failure.message.push_str(&format!(
+                failure.push_str(&format!(
                     " [reproducer: {} ({kept} of {} faults kept; replay with \
                      `figures repro`); dump: {}]",
                     repro_path.display(),
@@ -424,9 +404,7 @@ pub(crate) fn emit(
             // The failure did not recur on the shrinking re-run — only
             // possible if it was not deterministic after all. Leave the
             // dump in place and say so.
-            failure
-                .message
-                .push_str(&format!(" [dump: {}]", dump_path.display()));
+            failure.push_str(&format!(" [dump: {}]", dump_path.display()));
         }
     }
     failure

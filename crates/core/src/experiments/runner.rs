@@ -25,15 +25,12 @@
 //!   With a cache directory, results also persist across processes
 //!   through the corruption-tolerant on-disk store in
 //!   [`super::diskcache`], under the same key.
-//! * **Supervision** — failures carry a transient/deterministic
-//!   distinction: wall-clock timeouts ([`dsm_machine::RunError`]'s
-//!   `Timeout`, enabled by a wall limit) are retried with a bounded
-//!   deterministic backoff and are never cached, while deterministic
-//!   failures (protocol errors, invariant violations, lost updates)
-//!   cache like successes. With a reproducer directory, every
-//!   deterministic failure also emits a failure dump and a minimal
-//!   replayable reproducer (see [`super::repro`]), referenced from the
-//!   error message.
+//! * **Failures** — every job is bounded in simulated cycles, so its
+//!   outcome, failure included (protocol errors, invariant violations,
+//!   livelocks, lost updates), is a pure function of its key and
+//!   caches like a success. With a reproducer directory, every failure
+//!   also emits a failure dump and a minimal replayable reproducer (see
+//!   [`super::repro`]), referenced from the error message.
 //!
 //! Every setting above comes from the [`RunEnv`] in force on the
 //! thread that submits a batch; the runner enters the same environment
@@ -49,7 +46,7 @@ use crate::experiments::table1::Table1Row;
 use crate::experiments::{
     apps, counters, diskcache, lockfree, repro, table1, BarSpec, CounterKind, Scale,
 };
-use dsm_machine::{EnvKey, Machine, RunEnv, RunError, RunReport};
+use dsm_machine::{EnvKey, Machine, RunEnv, RunReport};
 use dsm_protocol::{CasVariant, LlscScheme, SyncPolicy};
 use dsm_sim::{CacheParams, Cycle, MachineConfig, ProtoVariant, SimParams, StableHasher};
 use dsm_sync::{LinkPrim, Primitive};
@@ -57,7 +54,6 @@ use dsm_workloads::LfStructure;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
-use std::time::Duration;
 
 /// One simulation point: everything needed to reproduce one machine
 /// run, and nothing else. `Eq`/`Hash` make it the cache key; its
@@ -463,12 +459,10 @@ impl JobOutput {
 /// run's own diagnostic (deadlock, livelock, protocol error, invariant
 /// violation, lost updates, ...).
 ///
-/// *Deterministic* failures are cached like successes, so a failing job
-/// is still simulated only once per process, and one bad job never
-/// aborts the worker pool — every sibling in the batch completes and
-/// reports its own `Result`. *Transient* failures (a host-side
-/// wall-clock budget) are retried and never cached, in memory or on
-/// disk: a slow host must not poison future runs with a stale verdict.
+/// Failures are reproducible from the job key alone, so they are cached
+/// like successes: a failing job is still simulated only once per
+/// process, and one bad job never aborts the worker pool — every
+/// sibling in the batch completes and reports its own `Result`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobError {
     /// A rendering of the failing job's key.
@@ -477,10 +471,6 @@ pub struct JobError {
     /// [`dsm_machine::RunError`] or the experiment's own
     /// final-state check.
     pub message: String,
-    /// True for host-side conditions (wall-clock budget exhausted) that
-    /// a retry on a less loaded host may clear; false for anything
-    /// reproducible from the job key alone.
-    pub transient: bool,
 }
 
 impl std::fmt::Display for JobError {
@@ -491,42 +481,10 @@ impl std::fmt::Display for JobError {
 
 impl std::error::Error for JobError {}
 
-/// A simulation failure before job attribution: the diagnostic text
-/// plus whether the condition is transient (host wall-clock budget,
-/// worth retrying) or deterministic (a property of the simulated
-/// machine, cacheable). The experiment modules produce these; the
-/// runner attributes them to a [`Job`] as [`JobError`]s.
-#[derive(Debug)]
-pub(crate) struct SimFailure {
-    /// The failure diagnostic.
-    pub message: String,
-    /// See [`JobError::transient`].
-    pub transient: bool,
-}
-
-impl SimFailure {
-    /// A deterministic failure: reproducible from the job key alone.
-    pub fn deterministic(message: String) -> Self {
-        SimFailure {
-            message,
-            transient: false,
-        }
-    }
-
-    /// Attributes a machine [`RunError`] to `label`, preserving its
-    /// transience (wall-clock timeouts retry; everything else caches).
-    pub fn from_run(label: &str, e: &RunError) -> Self {
-        SimFailure {
-            message: format!("{label}: {e}"),
-            transient: e.is_transient(),
-        }
-    }
-}
-
 /// The completion stage of a [`PreparedRun`]: final-state checks plus
 /// result assembly, consumed exactly once after the machine finishes.
-pub(crate) type FinishFn =
-    Box<dyn FnOnce(&mut Machine, RunReport) -> Result<JobOutput, SimFailure>>;
+/// A failure is its diagnostic, before attribution to a [`Job`].
+pub(crate) type FinishFn = Box<dyn FnOnce(&mut Machine, RunReport) -> Result<JobOutput, String>>;
 
 /// A job's machine built and seeded but not yet run.
 ///
@@ -595,19 +553,8 @@ pub(crate) fn prepare(job: &Job) -> Option<PreparedRun> {
     }
 }
 
-/// Attributes a [`SimFailure`] to `job`, producing the reportable
-/// [`JobError`]. Shared by the runner and the reproducer layer so
-/// failure rendering stays uniform.
-pub(crate) fn attribute(job: &Job, f: SimFailure) -> JobError {
-    JobError {
-        job: format!("{job:?}"),
-        message: f.message,
-        transient: f.transient,
-    }
-}
-
 /// Simulates one job from scratch (no cache involved). With a
-/// reproducer directory configured, a deterministic failure also emits
+/// reproducer directory configured, a failure also emits
 /// a failure dump and a shrunk replayable reproducer, and the error
 /// message references both (see [`super::repro`]).
 fn try_execute(job: &Job, repro_dir: Option<&std::path::Path>) -> Result<JobOutput, JobError> {
@@ -616,10 +563,10 @@ fn try_execute(job: &Job, repro_dir: Option<&std::path::Path>) -> Result<JobOutp
             let finish = p.finish;
             let res = match p.machine.run(p.limit) {
                 Ok(report) => finish(&mut p.machine, report),
-                Err(e) => Err(SimFailure::from_run(&p.label, &e)),
+                Err(e) => Err(format!("{}: {e}", p.label)),
             };
             match (res, repro_dir) {
-                (Err(f), Some(dir)) if !f.transient => Err(repro::emit(job, &p.machine, f, dir)),
+                (Err(f), Some(dir)) => Err(repro::emit(job, &p.machine, f, dir)),
                 (res, _) => res,
             }
         }
@@ -631,7 +578,10 @@ fn try_execute(job: &Job, repro_dir: Option<&std::path::Path>) -> Result<JobOutp
             other => unreachable!("prepare() only declines Table1 jobs, got {other:?}"),
         },
     };
-    result.map_err(|f| attribute(job, f))
+    result.map_err(|message| JobError {
+        job: format!("{job:?}"),
+        message,
+    })
 }
 
 /// The outcome of one job: its output or its own failure report.
@@ -657,21 +607,11 @@ fn cache() -> &'static Mutex<Memo> {
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-/// True if a result may enter the caches (memory and disk): successes
-/// and deterministic failures, but never transient host conditions.
-fn cacheable(r: &JobResult) -> bool {
-    match r {
-        Ok(_) => true,
-        Err(e) => !e.transient,
-    }
-}
-
 static JOBS_QUEUED: AtomicU64 = AtomicU64::new(0);
 static JOBS_RUNNING: AtomicU64 = AtomicU64::new(0);
 static JOBS_COMPLETED: AtomicU64 = AtomicU64::new(0);
 static CACHE_HITS: AtomicU64 = AtomicU64::new(0);
 static CYCLES_SIMULATED: AtomicU64 = AtomicU64::new(0);
-static RETRIES: AtomicU64 = AtomicU64::new(0);
 pub(crate) static DISK_HITS: AtomicU64 = AtomicU64::new(0);
 pub(crate) static DISK_STORES: AtomicU64 = AtomicU64::new(0);
 pub(crate) static DISK_QUARANTINED: AtomicU64 = AtomicU64::new(0);
@@ -689,8 +629,6 @@ pub struct RunnerStats {
     pub cache_hits: u64,
     /// Total simulated machine cycles across all completed jobs.
     pub cycles_simulated: u64,
-    /// Transient-failure retries attempted.
-    pub retries: u64,
     /// Jobs served from the persistent disk cache.
     pub disk_hits: u64,
     /// Results persisted to the disk cache.
@@ -707,7 +645,6 @@ pub fn stats() -> RunnerStats {
         completed: JOBS_COMPLETED.load(Ordering::Relaxed),
         cache_hits: CACHE_HITS.load(Ordering::Relaxed),
         cycles_simulated: CYCLES_SIMULATED.load(Ordering::Relaxed),
-        retries: RETRIES.load(Ordering::Relaxed),
         disk_hits: DISK_HITS.load(Ordering::Relaxed),
         disk_stores: DISK_STORES.load(Ordering::Relaxed),
         disk_quarantined: DISK_QUARANTINED.load(Ordering::Relaxed),
@@ -736,33 +673,6 @@ pub fn with_workers<R>(n: usize, f: impl FnOnce() -> R) -> R {
         ..RunEnv::clone(&RunEnv::current())
     };
     RunEnv::scope(env, f)
-}
-
-/// The deterministic backoff schedule: 25 ms doubling per attempt,
-/// capped at ~1.6 s. A pure function of the attempt number — no
-/// randomness — so supervised runs remain reproducible in wall-clock
-/// shape as well as in results.
-fn backoff_delay(attempt: u32) -> Duration {
-    const BASE_MS: u64 = 25;
-    Duration::from_millis(BASE_MS << attempt.saturating_sub(1).min(6))
-}
-
-/// Runs `run`, retrying transient failures up to `budget` times with
-/// [`backoff_delay`] between attempts. Deterministic failures and
-/// successes return immediately.
-fn retry_transient(budget: u32, mut run: impl FnMut() -> JobResult) -> JobResult {
-    let mut out = run();
-    for attempt in 1..=budget {
-        match &out {
-            Err(e) if e.transient => {
-                RETRIES.fetch_add(1, Ordering::Relaxed);
-                std::thread::sleep(backoff_delay(attempt));
-                out = run();
-            }
-            _ => break,
-        }
-    }
-    out
 }
 
 /// Maps `f` over `items` on a scoped worker pool, preserving input
@@ -830,7 +740,7 @@ where
 
 fn try_execute_counted(job: &Job, env: &RunEnv) -> JobResult {
     JOBS_RUNNING.fetch_add(1, Ordering::Relaxed);
-    let out = retry_transient(env.retries, || try_execute(job, env.repro_dir.as_deref()));
+    let out = try_execute(job, env.repro_dir.as_deref());
     JOBS_RUNNING.fetch_sub(1, Ordering::Relaxed);
     JOBS_COMPLETED.fetch_add(1, Ordering::Relaxed);
     if let Ok(out) = &out {
@@ -857,8 +767,7 @@ fn try_execute_counted(job: &Job, env: &RunEnv) -> JobResult {
 /// memory cache or the disk cache. A failing job (deadlock, livelock,
 /// protocol error, invariant violation, lost updates — typically under
 /// fault injection) reports a [`JobError`] in its slot without aborting
-/// its siblings; transient failures (wall-clock budget) are retried and
-/// never cached.
+/// its siblings, and is cached like a success.
 pub fn try_run_all(jobs: &[Job]) -> Vec<JobResult> {
     // The environment is captured here, on the calling thread, and
     // entered on every worker, so a scoped environment applies at any
@@ -910,23 +819,13 @@ pub fn try_run_all(jobs: &[Job]) -> Vec<JobResult> {
         fresh.extend(to_run.into_iter().zip(outputs));
     }
 
-    // Publish cacheable fresh results (simulated or disk-loaded) to the
-    // process-wide memory cache; transient failures stay out of it.
+    // Publish the fresh results (simulated or disk-loaded) to the
+    // process-wide memory cache.
     let mut cached = lock_recover(cache());
     let memo = cached.entry(key).or_default();
-    for (job, out) in &fresh {
-        if cacheable(out) {
-            memo.insert(job.clone(), out.clone());
-        }
-    }
+    memo.extend(fresh);
     jobs.iter()
-        .map(|job| {
-            fresh
-                .get(job)
-                .or_else(|| memo.get(job))
-                .expect("job simulated")
-                .clone()
-        })
+        .map(|job| memo.get(job).expect("job simulated").clone())
         .collect()
 }
 
@@ -966,7 +865,6 @@ pub fn run_one(job: &Job) -> JobOutput {
 mod tests {
     use super::*;
     use crate::experiments::BarSpec;
-    use std::cell::Cell;
 
     fn tiny_counter_job(contention: u32) -> Job {
         Job::counter(
@@ -1053,79 +951,6 @@ mod tests {
         assert!(p.cycles > 0);
         let again = run_one(&tiny_counter_job(2)).into_counter();
         assert_eq!(p.cycles, again.cycles);
-    }
-
-    #[test]
-    fn backoff_is_deterministic_and_bounded() {
-        assert_eq!(backoff_delay(1), Duration::from_millis(25));
-        assert_eq!(backoff_delay(2), Duration::from_millis(50));
-        assert_eq!(backoff_delay(3), Duration::from_millis(100));
-        // The cap: attempts beyond 7 stop doubling.
-        assert_eq!(backoff_delay(7), backoff_delay(100));
-        assert_eq!(backoff_delay(100), Duration::from_millis(25 << 6));
-    }
-
-    fn transient_error() -> JobError {
-        JobError {
-            job: "test".into(),
-            message: "wall-clock budget exhausted".into(),
-            transient: true,
-        }
-    }
-
-    #[test]
-    fn transient_failures_retry_up_to_budget() {
-        let calls = Cell::new(0u32);
-        let out = retry_transient(3, || {
-            calls.set(calls.get() + 1);
-            Err(transient_error())
-        });
-        assert_eq!(calls.get(), 4, "1 attempt + 3 retries");
-        assert!(out.unwrap_err().transient);
-    }
-
-    #[test]
-    fn transient_failure_clearing_mid_retry_succeeds() {
-        let calls = Cell::new(0u32);
-        let out = retry_transient(3, || {
-            calls.set(calls.get() + 1);
-            if calls.get() < 2 {
-                Err(transient_error())
-            } else {
-                Ok(JobOutput::Table1(table1::run_scenario(0)))
-            }
-        });
-        assert_eq!(calls.get(), 2, "success stops the retry loop");
-        assert!(out.is_ok());
-    }
-
-    #[test]
-    fn deterministic_failures_never_retry() {
-        let calls = Cell::new(0u32);
-        let out = retry_transient(5, || {
-            calls.set(calls.get() + 1);
-            Err(JobError {
-                job: "test".into(),
-                message: "invariant violation".into(),
-                transient: false,
-            })
-        });
-        assert_eq!(calls.get(), 1, "deterministic failures are final");
-        assert!(!out.unwrap_err().transient);
-    }
-
-    #[test]
-    fn transient_failures_are_not_cached() {
-        let job = tiny_counter_job(2);
-        let transient: JobResult = Err(transient_error());
-        let ok_result: JobResult = Ok(JobOutput::Table1(table1::run_scenario(0)));
-        assert!(!cacheable(&transient));
-        assert!(cacheable(&ok_result));
-        assert!(cacheable(&Err(JobError {
-            job: format!("{job:?}"),
-            message: "livelock".into(),
-            transient: false,
-        })));
     }
 
     /// The runner round-trips results through the persistent store: a

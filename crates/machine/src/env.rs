@@ -11,7 +11,6 @@ use std::cell::RefCell;
 use std::ffi::OsString;
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
 
 /// One run's configuration from outside the job key. `Default` is the
 /// environment with no `DSM_*` variable set.
@@ -25,10 +24,6 @@ pub struct RunEnv {
     pub proto: ProtoSpec,
     /// Tracing for machines built without a trace spec (`DSM_TRACE`).
     pub trace: Option<TraceSpec>,
-    /// Wall-clock budget per `Machine::run` (`DSM_WALL_LIMIT`, ms).
-    pub wall_limit: Option<Duration>,
-    /// Retries of a transiently failing job (`DSM_RETRIES`, default 2).
-    pub retries: u32,
     /// Runner workers (`DSM_JOBS`; `None` = available parallelism).
     pub jobs: Option<usize>,
     /// Log every job completion to stderr (`DSM_PROGRESS`).
@@ -92,10 +87,6 @@ impl RunEnv {
             faults,
             proto: spec("DSM_PROTO", text("DSM_PROTO"), ProtoSpec::from_spec)?.unwrap_or_default(),
             trace: spec("DSM_TRACE", text("DSM_TRACE"), TraceSpec::from_spec)?,
-            wall_limit: number("DSM_WALL_LIMIT")
-                .filter(|&ms| ms > 0)
-                .map(Duration::from_millis),
-            retries: number("DSM_RETRIES").map_or(2, |n| u32::try_from(n).unwrap_or(u32::MAX)),
             jobs: number("DSM_JOBS").map(|n| usize::try_from(n).unwrap_or(usize::MAX).max(1)),
             progress: var("DSM_PROGRESS").is_some(),
             cache_dir: dir("DSM_CACHE_DIR"),
@@ -174,8 +165,6 @@ mod tests {
             ("DSM_PARANOID", "1"),
             ("DSM_PROTO", "hna, mesif"),
             ("DSM_TRACE", "1"),
-            ("DSM_WALL_LIMIT", "250"),
-            ("DSM_RETRIES", "5"),
             ("DSM_JOBS", " 3 "),
             ("DSM_PROGRESS", ""),
             ("DSM_CACHE_DIR", "cache"),
@@ -187,8 +176,7 @@ mod tests {
         assert_eq!(env.faults, faults);
         assert_eq!(env.proto, ProtoSpec::from_spec("mesif,hna").unwrap());
         assert_eq!(env.trace, Some(TraceSpec::bare()));
-        assert_eq!(env.wall_limit, Some(Duration::from_millis(250)));
-        assert_eq!((env.retries, env.jobs, env.progress), (5, Some(3), true));
+        assert_eq!((env.jobs, env.progress), (Some(3), true));
         assert_eq!(env.cache_dir, Some(PathBuf::from("cache")));
         assert_eq!(env.repro_dir, Some(PathBuf::from("repro")));
     }
@@ -212,24 +200,21 @@ mod tests {
     fn lenient_numbers_and_directories() {
         let env = parse(&[
             ("DSM_PARANOID", "yes"),
-            ("DSM_WALL_LIMIT", "0"),
-            ("DSM_RETRIES", "many"),
             ("DSM_JOBS", "0"),
             ("DSM_CACHE_DIR", ""),
         ])
         .unwrap();
         assert!(!env.faults.paranoid);
-        assert_eq!(env.wall_limit, None);
-        assert_eq!(env.retries, 2);
         assert_eq!(env.jobs, Some(1));
         assert_eq!(env.cache_dir, None);
+        assert_eq!(parse(&[("DSM_JOBS", "many")]).unwrap().jobs, None);
     }
 
     #[test]
     fn scopes_nest_and_restore() {
         let outer = RunEnv::current();
         let a = RunEnv {
-            retries: 7,
+            progress: true,
             ..RunEnv::default()
         };
         RunEnv::scope(a.clone(), || {

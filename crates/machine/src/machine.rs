@@ -8,8 +8,7 @@
 //!   instrumentation: tracer, fault injector, paranoid flag) plus the
 //!   event dispatcher.
 //! * [`Machine`] — the public wrapper owning the run loop and its
-//!   policy: cycle limit, watchdog, wall-clock budget and the
-//!   fault-injection window.
+//!   policy: cycle limit, watchdog and the fault-injection window.
 //!
 //! Every event carries an explicit 128-bit tie-break key (see the
 //! "Canonical event keys" section below): same-cycle events dispatch
@@ -33,7 +32,6 @@ use dsm_sim::{
 use dsm_trace::{Category, StateLabel, TraceSpec, Tracer};
 use std::fmt;
 use std::path::PathBuf;
-use std::time::{Duration, Instant};
 
 /// Converts a directory state into the label-shaped form trace events
 /// carry (`dsm-trace` does not depend on the protocol crate).
@@ -140,31 +138,6 @@ pub enum RunError {
         /// The first violation found.
         violation: InvariantViolation,
     },
-    /// The host wall-clock budget for this run elapsed before the
-    /// simulation finished. Unlike every other variant this is a
-    /// *transient* host condition, not a property of the simulated
-    /// machine: rerunning the same job on a less loaded host may well
-    /// succeed, so supervisors retry it and never cache it.
-    Timeout {
-        /// Simulated time when the budget check fired.
-        at: Cycle,
-        /// Host milliseconds actually spent.
-        elapsed_ms: u64,
-        /// The wall-clock budget that was exhausted, in milliseconds.
-        limit_ms: u64,
-    },
-}
-
-impl RunError {
-    /// `true` for failures caused by the *host* (wall-clock timeouts)
-    /// rather than by the simulated machine. Transient failures are
-    /// worth retrying and must never be cached or treated as evidence
-    /// of a protocol bug; deterministic failures (deadlock, livelock,
-    /// protocol errors, invariant violations, cycle limits) reproduce
-    /// under replay and are legitimate cache entries and shrink targets.
-    pub fn is_transient(&self) -> bool {
-        matches!(self, RunError::Timeout { .. })
-    }
 }
 
 impl fmt::Display for RunError {
@@ -198,15 +171,6 @@ impl fmt::Display for RunError {
             }
             RunError::Protocol { at, error } => write!(f, "at {at}: {error}"),
             RunError::Invariant { at, violation } => write!(f, "at {at}: {violation}"),
-            RunError::Timeout {
-                at,
-                elapsed_ms,
-                limit_ms,
-            } => write!(
-                f,
-                "wall-clock budget exhausted at {at}: {elapsed_ms}ms spent, limit {limit_ms}ms \
-                 (transient host condition — retry)"
-            ),
         }
     }
 }
@@ -1227,8 +1191,7 @@ impl MachineBuilder {
     /// invariant checking without code changes. An explicit
     /// [`MachineConfig::faults`] always wins. Likewise, when no trace
     /// spec was set with [`with_trace`](MachineBuilder::with_trace),
-    /// the environment's trace spec applies, and so does its
-    /// wall-clock budget.
+    /// the environment's trace spec applies.
     ///
     /// # Panics
     ///
@@ -1247,7 +1210,7 @@ impl MachineBuilder {
             self.cfg.faults = env.faults.clone();
         }
         // The machine keeps the *effective* fault settings, so the
-        // supervision layer can capture them into reproducer artifacts
+        // reproducer layer can capture them into its artifacts
         // regardless of where they came from.
         let faults = self.cfg.faults.clone();
         let trace_spec = self.trace.or_else(|| env.trace.clone());
@@ -1335,7 +1298,6 @@ impl MachineBuilder {
             injected_evictions: 0,
             injected_wipes: 0,
             injected_corruptions: 0,
-            wall_limit: env.wall_limit,
         };
         for (addr, value) in self.init {
             machine.poke_word(addr, value);
@@ -1365,8 +1327,6 @@ pub struct Machine {
     injected_wipes: u64,
     /// Shared-to-exclusive corruptions forced by the fault injector.
     injected_corruptions: u64,
-    /// Wall-clock budget per `run` call, if any.
-    wall_limit: Option<Duration>,
 }
 
 impl Machine {
@@ -1449,10 +1409,8 @@ impl Machine {
     /// processors (a protocol/program bug), [`RunError::Livelock`] if the
     /// watchdog window elapsed without an op retiring,
     /// [`RunError::Protocol`] if a protocol engine reached an illegal
-    /// state, [`RunError::Invariant`] if paranoid checking found a
-    /// violated invariant, or [`RunError::Timeout`] when a wall-clock
-    /// budget ([`RunEnv::wall_limit`] at build time) elapses before the
-    /// run finishes.
+    /// state, or [`RunError::Invariant`] if paranoid checking found a
+    /// violated invariant.
     pub fn run(&mut self, limit: Cycle) -> Result<RunReport, RunError> {
         self.core.park_bound = self.park_bound();
         let result = self.run_inner(limit);
@@ -1469,30 +1427,7 @@ impl Machine {
         result
     }
 
-    /// Checks the wall-clock budget (every `WALL_CHECK_MASK + 1`
-    /// dispatched events, so the `Instant::now` syscall stays off the
-    /// hot path).
-    fn check_wall(&self, started: Instant) -> Result<(), RunError> {
-        const WALL_CHECK_MASK: u64 = 8191;
-        let Some(budget) = self.wall_limit else {
-            return Ok(());
-        };
-        if self.events_dispatched() & WALL_CHECK_MASK != 0 {
-            return Ok(());
-        }
-        let elapsed = started.elapsed();
-        if elapsed > budget {
-            return Err(RunError::Timeout {
-                at: self.core.now,
-                elapsed_ms: elapsed.as_millis() as u64,
-                limit_ms: budget.as_millis() as u64,
-            });
-        }
-        Ok(())
-    }
-
     fn run_inner(&mut self, limit: Cycle) -> Result<RunReport, RunError> {
-        let started = Instant::now();
         self.core.last_retire = self.core.now;
         while self.core.active > 0 {
             let Some((at, key, event)) = self.core.events.pop_keyed() else {
@@ -1519,7 +1454,6 @@ impl Machine {
             self.core.events_processed += 1;
             self.poll_faults();
             self.check_watchdog()?;
-            self.check_wall(started)?;
             if self.core.dispatch(key, event)? {
                 self.core.try_release_barrier();
             }
@@ -1534,7 +1468,6 @@ impl Machine {
             }
             self.core.now = at;
             self.core.events_processed += 1;
-            self.check_wall(started)?;
             self.core.dispatch(key, event)?;
         }
         if self.core.paranoid {

@@ -3,8 +3,10 @@
 //!
 //! The source scan keeps it that way: outside `RunEnv::from_env`, no
 //! library source under `crates/*/src` (binaries excluded) reads an
-//! environment variable, none sets or removes one, and the only
-//! thread-local is the `RunEnv` scope. The subprocess test shows the
+//! environment variable, none sets or removes one, the only
+//! thread-local is the `RunEnv` scope, and none reads the host clock or
+//! sleeps, so a job's outcome depends on its key and environment alone.
+//! The subprocess test shows the
 //! process environment still reaches every machine, including one
 //! built directly with `MachineBuilder::new`: CI's `DSM_PARANOID=1`
 //! suite depends on that.
@@ -92,6 +94,15 @@ fn library_sources_read_no_ambient_configuration() {
             }
             if code.contains("thread_local!") {
                 thread_locals.push(at.clone());
+            }
+            let words: Vec<&str> = code
+                .split(|c: char| !(c.is_alphanumeric() || c == '_'))
+                .collect();
+            if words.contains(&"Instant")
+                || words.contains(&"SystemTime")
+                || code.contains("thread::sleep")
+            {
+                problems.push(format!("host clock read or sleep: {at}"));
             }
             for gone in [
                 "fn env_fingerprint",
